@@ -146,23 +146,16 @@ def _tolerance_section(tol: Tolerances) -> dict:
 
 def _spectra_sections(state: PureState, tol: Tolerances) -> tuple[dict, dict, dict]:
     report = spectrum_report(state, tol)
-    spectra = {
-        "A": [float(x) for x in report.spectrum_a],
-        "B": [float(x) for x in report.spectrum_b],
-        "C": [float(x) for x in report.spectrum_c],
-        "BC": [float(x) for x in report.spectrum_bc],
-    }
+    single = {"A": report.spectrum_a, "B": report.spectrum_b, "C": report.spectrum_c}
+    spectra = {name: [float(x) for x in s] for name, s in single.items()}
+    spectra["BC"] = [float(x) for x in report.spectrum_bc]
     flags = {
         "A_B": report.equal_ab,
         "A_C": report.equal_ac,
         "B_C": report.equal_bc,
         "A_BC": report.equal_a_bc,
     }
-    entropies = {
-        "A": entropy_bits(np.maximum(report.spectrum_a, 0.0), tol),
-        "B": entropy_bits(np.maximum(report.spectrum_b, 0.0), tol),
-        "C": entropy_bits(np.maximum(report.spectrum_c, 0.0), tol),
-    }
+    entropies = {name: entropy_bits(s, tol) for name, s in single.items()}
     return spectra, flags, entropies
 
 

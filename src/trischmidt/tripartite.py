@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .bipartite import BipartiteSchmidt, schmidt_decompose
-from .exceptions import DimensionMismatch, Indeterminate, RankNotOne
+from .exceptions import DimensionMismatch, Indeterminate, NoConvergence, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, partial_inner_product, reduced_density, validate
 
@@ -54,7 +55,7 @@ class SliceAnalysis:
     the rank cutoff (``pivot_basis`` has one column per retained slice).
     ``s_spectrum`` holds the per-mode sums of the slice Schmidt weights
     accumulated in a common slice basis; it is None when no common basis
-    exists within tolerance.
+    exists within tolerance; it is computed on first access, with ``tol``.
     """
 
     dims: tuple[int, ...]
@@ -64,8 +65,12 @@ class SliceAnalysis:
     slices: tuple[np.ndarray, ...]
     slice_schmidt: tuple[BipartiteSchmidt, ...]
     slice_ranks: tuple[int, ...]
-    s_spectrum: np.ndarray | None
+    tol: Tolerances
     not_refinable: bool = False
+
+    @cached_property
+    def s_spectrum(self) -> np.ndarray | None:
+        return _shared_basis_spectrum(self.slices, self.tol)
 
     @property
     def remaining_parties(self) -> tuple[int, int]:
@@ -184,7 +189,7 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
         slices=slices,
         slice_schmidt=schmidts,
         slice_ranks=ranks,
-        s_spectrum=_shared_basis_spectrum(slices, tol),
+        tol=tol,
     )
 
 
@@ -386,7 +391,7 @@ def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) ->
         slices=slices,
         slice_schmidt=schmidts,
         slice_ranks=ranks,
-        s_spectrum=_shared_basis_spectrum(slices, tol),
+        tol=tol,
         not_refinable=failed,
     )
 
@@ -427,19 +432,6 @@ def reconstruct(sd: TripartiteSchmidt) -> PureState:
         "i,ai,bi,ci->abc", np.sqrt(sd.weights), sd.basis_a, sd.basis_b, sd.basis_c
     )
     return PureState(sd.dims, amplitudes.reshape(-1))
-
-
-def _single_party_spectra_clearly_unequal(state: PureState, tol: Tolerances) -> bool:
-    """Sound rejection helper: a decomposition forces equal nonzero spectra."""
-    margin = math.sqrt(tol.recon_abs)
-    specs = [
-        np.linalg.eigvalsh(reduced_density(state, (p,), tol).matrix)[::-1] for p in range(3)
-    ]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not _spectra_match(specs[i], specs[j], tol, margin):
-                return True
-    return False
 
 
 def _spectra_match(p, q, tol: Tolerances, atol: float) -> bool:
@@ -504,7 +496,10 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
         )
         if not _families_orthonormal(sub, tol):
             return Verdict(False, None, final, True, residual)
-    if _single_party_spectra_clearly_unequal(state, tol):
+    # A decomposition forces equal nonzero single-party spectra.
+    a, b, c = _party_spectra(state)
+    margin = math.sqrt(tol.recon_abs)
+    if not all(_spectra_match(p, q, tol, margin) for p, q in ((a, b), (a, c), (b, c))):
         return Verdict(False, None, final, True, residual)
     raise Indeterminate(
         "degenerate eigenspace could not be refined to a rank-one slicing",
@@ -515,7 +510,7 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Descending spectra of the single-party cuts and of the BC pair."""
+    """Descending spectra of the single-party cuts and of the BC pair (A's, zero-padded)."""
 
     spectrum_a: np.ndarray
     spectrum_b: np.ndarray
@@ -527,23 +522,34 @@ class SpectrumReport:
     equal_a_bc: bool
 
 
+def _party_spectra(state: PureState) -> list[np.ndarray]:
+    """Spectra of rho_A, rho_B, rho_C: squared unfolding singular values, padded to d_p."""
+    t = state.tensor
+    spectra = []
+    for p, d in enumerate(state.dims):
+        try:
+            s = np.linalg.svd(np.moveaxis(t, p, 0).reshape(d, -1), compute_uv=False) ** 2
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
+        spectra.append(np.pad(s, (0, d - s.size)))
+    return spectra
+
+
 def spectrum_report(state: PureState, tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
     """Reduced-density spectra plus pairwise equality flags.
 
-    Equality compares the nonzero parts (zero-padded to a common length)
-    within ``recon_abs``.  The A vs BC flag holds for every pure state;
-    the single-party flags are necessary but not sufficient for a
-    decomposition to exist (the W state has all three equal and still
-    fails the slice test).
+    Spectra are squared singular values of the single-party unfoldings.
+    The BC spectrum is A's nonzero spectrum zero-padded (the Schmidt
+    identity on the A|BC cut), so no (d_B*d_C)^2 matrix is built and the A
+    vs BC flag holds by theorem.  Equality compares nonzero parts within
+    ``recon_abs``; the single-party flags are necessary but not sufficient.
     """
     validate(state, tol)
     if state.n_parties != 3:
         raise DimensionMismatch("spectrum report is defined for tripartite states")
-    spectra = [
-        linalg.hermitian_eigendecompose(reduced_density(state, keep, tol).matrix, tol).eigenvalues
-        for keep in ((0,), (1,), (2,), (1, 2))
-    ]
-    a, b, c, bc = spectra
+    a, b, c = _party_spectra(state)
+    bc = np.zeros(state.dims[1] * state.dims[2])
+    bc[: a.size] = a[: bc.size]
     return SpectrumReport(
         spectrum_a=a,
         spectrum_b=b,

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from trischmidt import linalg, tripartite
 from trischmidt import (
     DimensionMismatch,
+    NoConvergence,
     PureState,
     RankNotOne,
     Tolerances,
@@ -17,6 +19,7 @@ from trischmidt import (
     overlap,
     product_state,
     reconstruct_tripartite,
+    reduced_density,
     refine_degenerate,
     schmidt_state,
     spectrum_report,
@@ -240,6 +243,40 @@ def test_spectrum_report_a_bc_always_equal():
         assert report.equal_a_bc
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4), (5, 2, 2), (1, 3, 4), (3, 1, 4)])
+def test_spectrum_report_matches_reduced_density_eigenvalues(dims):
+    # (5, 2, 2) has d_A > d_B*d_C, so the BC spectrum is A's cut short
+    state = haar_state(dims, seed=3100 + sum(dims))
+    report = spectrum_report(state)
+    spectra = (report.spectrum_a, report.spectrum_b, report.spectrum_c, report.spectrum_bc)
+    for keep, spec in zip(((0,), (1,), (2,), (1, 2)), spectra):
+        want = np.linalg.eigvalsh(reduced_density(state, keep).matrix)[::-1]
+        assert spec.shape == (int(np.prod([dims[k] for k in keep])),)
+        assert np.max(np.abs(spec - want)) < 1e-10
+    assert report.equal_a_bc
+
+
+def test_spectrum_report_builds_no_density_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum_report must not build or eigendecompose rho")
+
+    monkeypatch.setattr(tripartite, "reduced_density", forbidden)
+    monkeypatch.setattr(linalg, "hermitian_eigendecompose", forbidden)
+    report = spectrum_report(haar_state((2, 64, 64), seed=3200))
+    assert report.spectrum_bc.shape == (64 * 64,)
+    assert np.max(np.abs(report.spectrum_bc[2:]), initial=0.0) == 0.0
+    assert report.equal_a_bc
+
+
+def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence):
+        spectrum_report(GHZ)
+
+
 def test_s_spectrum_matches_rho_b_when_shared_basis_exists():
     # slices of a decomposable state share their Schmidt bases, so the
     # accumulated mode sums reproduce the spectrum of rho_B
@@ -251,6 +288,23 @@ def test_s_spectrum_matches_rho_b_when_shared_basis_exists():
     assert np.max(np.abs(analysis.s_spectrum - report.spectrum_b[:k])) < 1e-9
     # generic entangled slices do not share a basis
     assert analyze(haar_state((3, 3, 3), seed=201)).s_spectrum is None
+
+
+def test_s_spectrum_is_computed_once_and_only_on_access(monkeypatch):
+    calls = []
+    shared = tripartite._shared_basis_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return shared(*args)
+
+    monkeypatch.setattr(tripartite, "_shared_basis_spectrum", counted)
+    state = schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=200)
+    assert check(state).decomposable
+    analysis = analyze(state)
+    assert calls == []
+    assert analysis.s_spectrum is analysis.s_spectrum
+    assert len(calls) == 1
 
 
 def test_low_rank_pivot_excludes_zero_slices():
