@@ -34,7 +34,7 @@ class RankNotOne(TrischmidtError):
 
 
 class Indeterminate(TrischmidtError):
-    """The degenerate-eigenspace search could not settle the verdict.
+    """The degenerate-eigenspace refinement could not settle the verdict.
 
     Distinct from a negative verdict: the state was neither accepted nor
     provably rejected.  Carries the analysis that was attempted.

@@ -18,8 +18,11 @@ that an accepted verdict always comes with a valid decomposition.
 
 A degenerate pivot spectrum makes the eigenbasis non-unique, so a
 rank-one slicing may only exist after rotating inside each degenerate
-eigenspace; ``refine_degenerate`` searches for that rotation.  When the
-search fails and no sound rejection applies, ``check`` raises
+eigenspace: exactly when its slices are simultaneously diagonal in
+shared orthonormal factor bases, which the SVD of one generic combination
+of the slices exposes (``_shared_factors``).  ``refine_degenerate`` reads
+the rotation off the diagonals and ``SliceAnalysis.s_spectrum`` sums
+them.  When that fails and no sound rejection applies, ``check`` raises
 :class:`~trischmidt.exceptions.Indeterminate` instead of guessing.
 """
 
@@ -39,11 +42,9 @@ from .states import PureState, partial_inner_product, reduced_density, validate
 
 PARTY_NAMES = ("A", "B", "C")
 
-# Fixed seeds for the generic mixing coefficients used by the degenerate
-# refinement and the shared-slice-basis detection.  They only need to be
-# "generic"; fixing them keeps every run reproducible.
-_REFINE_SEED = 0x51A3B
-_SHARED_SEED = 0x5EED5
+# Fixed seed of the generic mixing coefficients in ``_shared_factors``.  They
+# only need to be "generic"; fixing them keeps every run reproducible.
+_MIX_SEED = 0x5EED5
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,60 +194,40 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     )
 
 
-def _shared_basis_spectrum(slices, tol: Tolerances) -> np.ndarray | None:
-    """Per-mode sums of slice Schmidt weights, when one slice basis fits all.
+def _shared_factors(slices, tol: Tolerances):
+    """Orthonormal factor bases that diagonalize every slice at once, or None.
 
-    All slices share left/right Schmidt bases exactly when the family
-    ``{M_i M_i^H}`` (and its right-hand counterpart) is simultaneously
-    diagonalizable with a consistent pairing.  A generically weighted sum
-    exposes the common eigenbasis when it exists; the candidate bases are
-    then verified against every slice.  Returns None when no common basis
-    exists within tolerance.
+    When ``X_i = y diag(d_i) z^H`` for shared orthonormal ``y`` and ``z``, a
+    generic combination ``sum_i c_i X_i`` has that form with distinct
+    singular values, so its SVD recovers ``y`` and ``z`` (Jennrich's
+    simultaneous diagonalization; Leurgans, Ross & Abel, SIAM J. Matrix
+    Anal. Appl. 14, 1993).  Its ``k`` nonzero modes are accepted when every
+    ``y^H X_i z`` is diagonal within ``1e3 * recon_abs`` and the diagonals
+    hold all the slices' mass.  ``diag[i]`` is the diagonal of slice i.
     """
-    r = len(slices)
-    if r == 0:
+    stack = np.array(slices)
+    rng = np.random.default_rng(_MIX_SEED)
+    mix = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
+    u, s, vh = np.linalg.svd(np.tensordot(mix, stack, axes=1), full_matrices=False)
+    k = linalg.numerical_rank(s, tol)
+    y, z = u[:, :k], vh[:k].conj().T
+    d = y.conj().T @ stack @ z
+    diag = np.diagonal(d, axis1=1, axis2=2)
+    off = d - diag[:, :, None] * np.eye(k)
+    if float(np.max(np.abs(off), initial=0.0)) > 1e3 * tol.recon_abs:
         return None
-    shared_tol = 1e3 * tol.recon_abs
-    rng = np.random.default_rng(_SHARED_SEED)
-    wl = rng.uniform(1.0, 2.0, size=r)
-    wr = rng.uniform(1.0, 2.0, size=r)
-    hb = sum(w * (m @ m.conj().T) for w, m in zip(wl, slices))
-    hc = sum(w * (m.conj().T @ m) for w, m in zip(wr, slices))
-    # The slices only live on the supported modes; null modes carry no
-    # weight and need no pairing.
-    lam_b, y = np.linalg.eigh(hb)
-    lam_c, zc = np.linalg.eigh(hc)  # columns are conj(z_mu) candidates
-    y = y[:, lam_b > tol.rank_rel * lam_b.max()]
-    zc = zc[:, lam_c > tol.rank_rel * lam_c.max()]
-    if y.shape[1] != zc.shape[1]:
+    mass = float(np.sum(np.abs(diag) ** 2)) - float(np.sum(np.abs(stack) ** 2))
+    if abs(mass) > math.sqrt(tol.recon_abs):  # mass escaped the retained modes
         return None
-    modes = y.shape[1]
-    mix = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-    probe = y.conj().T @ sum(c * m for c, m in zip(mix, slices)) @ zc
-    # Pair each left mode with the right mode it actually couples to.
-    cols = np.argmax(np.abs(probe), axis=1)
-    used = set()
-    perm = []
-    for mu in range(modes):
-        col = int(cols[mu])
-        if col in used:
-            return None
-        used.add(col)
-        perm.append(col)
-    zc = zc[:, perm]
-    s = np.zeros(modes)
-    total = 0.0
-    for m in slices:
-        d = y.conj().T @ m @ zc
-        off = d - np.diag(np.diagonal(d))
-        if float(np.max(np.abs(off))) > shared_tol:
-            return None
-        s += np.abs(np.diagonal(d)) ** 2
-        total += float(np.linalg.norm(m)) ** 2
-    if abs(float(s.sum()) - total) > math.sqrt(tol.recon_abs):
-        # mass escaped the retained modes: the candidate basis is not shared
+    return y, z, diag
+
+
+def _shared_basis_spectrum(slices, tol: Tolerances) -> np.ndarray | None:
+    """Per-mode sums of slice Schmidt weights, when one slice basis fits all."""
+    shared = _shared_factors(slices, tol)
+    if shared is None:
         return None
-    return np.sort(s)[::-1]
+    return np.sort(np.sum(np.abs(shared[2]) ** 2, axis=0))[::-1]
 
 
 def _top_factors(analysis: SliceAnalysis):
@@ -282,81 +263,36 @@ def _configuration_valid(analysis: SliceAnalysis, tol: Tolerances) -> bool:
 
 
 def _refine_block(block_slices: list[np.ndarray], tol: Tolerances):
-    """Search one degenerate eigenspace for a rank-one orthogonal slicing.
+    """Rotate one degenerate eigenspace to a rank-one orthogonal slicing.
 
-    Candidate product directions are the Schmidt terms of the block
-    slices themselves and of a few generically mixed combinations (a
-    slice with tied singular values can hand back mixed product pairs, a
-    generic combination cannot).  Candidates must lie in the span of the
-    block slices; a mutually factor-orthogonal subset of full block size
-    defines the rotation.  Returns ``(coeff, refined_slices)`` with
+    Such a slicing exists exactly when the block slices are simultaneously
+    diagonal in shared factor bases with one mode per slice.  Then
+    ``block[i] = sum_m diag[i, m] y_m z_m^H``, where ``diag`` is a multiple
+    of a unitary (the slices are orthogonal with equal norms), and its
+    conjugate transpose rotates the slices onto the rank-one terms.
+    Returns ``(coeff, refined_slices)`` with
     ``refined[m] = sum_i coeff[m, i] * block_slices[i]`` and unitary
-    ``coeff``, or None when the search fails.
+    ``coeff``, or None when no shared bases exist.
     """
-    g = len(block_slices)
-    span_tol = 1e2 * tol.recon_abs
-    match_tol = 1e-6
-    norms = [float(np.linalg.norm(m)) for m in block_slices]
-    if min(norms) <= 0.0:
+    shared = _shared_factors(block_slices, tol)
+    if shared is None or shared[2].shape[1] != len(block_slices):
         return None
-    q = [m / n for m, n in zip(block_slices, norms)]
-
-    rng = np.random.default_rng(_REFINE_SEED)
-    sources = list(block_slices)
-    for _ in range(3):
-        mix = rng.standard_normal(g) + 1j * rng.standard_normal(g)
-        sources.append(sum(c * m for c, m in zip(mix, block_slices)))
-
-    candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for source in sources:
-        if not np.any(np.abs(source) > 0.0):
-            continue
-        sd = schmidt_decompose(source, tol)
-        top = float(sd.coefficients[0])
-        for mu in range(sd.coefficients.size):
-            if float(sd.coefficients[mu]) <= tol.rank_rel * top:
-                continue
-            yv = sd.left_basis[:, mu]
-            zv = sd.right_basis[:, mu]
-            p = np.outer(yv, zv)
-            ph = linalg._phase_fix(p.reshape(-1))
-            p = p * ph
-            coeffs = np.array([np.vdot(qi, p) for qi in q])
-            residual = float(np.linalg.norm(p - sum(c * qi for c, qi in zip(coeffs, q))))
-            if residual > span_tol:
-                continue
-            if any(float(np.max(np.abs(p - pc))) <= match_tol for _, _, pc in candidates):
-                continue
-            candidates.append((yv * ph, zv, p))
-
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for yv, zv, p in candidates:
-        if all(
-            abs(np.vdot(yk, yv)) <= match_tol and abs(np.vdot(zk, zv)) <= match_tol
-            for yk, zk, _ in kept
-        ):
-            kept.append((yv, zv, p))
-            if len(kept) == g:
-                break
-    if len(kept) < g:
-        return None
-
-    raw = np.array([[np.vdot(qi, p) / n for qi, n in zip(q, norms)] for _, _, p in kept])
-    u, _, vh = np.linalg.svd(raw)
+    u, _, vh = np.linalg.svd(shared[2].conj().T)
     coeff = u @ vh  # closest unitary: keeps the new slicing an exact rotation
-    refined = [sum(coeff[m, i] * block_slices[i] for i in range(g)) for m in range(g)]
-    return coeff, refined
+    return coeff, list(np.tensordot(coeff, np.array(block_slices), axes=1))
 
 
 def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> SliceAnalysis:
     """Rotate degenerate eigenspaces toward a rank-one slicing.
 
-    Blocks whose slices are already rank one are left alone (when a
-    rank-one orthogonal slicing exists in a block's span, an all-rank-one
-    slicing already consists of its members).  Returns the rotated
-    analysis, or the input unchanged when nothing needed rotating, or an
-    analysis flagged ``not_refinable`` when some block defeated the
-    search.
+    Each degenerate block with a slice of rank above one is rotated by
+    simultaneously diagonalizing its slices (``_refine_block``).  Blocks
+    whose slices are already rank one are left alone (when a rank-one
+    orthogonal slicing exists in a block's span, an all-rank-one slicing
+    already consists of its members).  Returns the rotated analysis, or
+    the input unchanged when nothing needed rotating, or an analysis
+    flagged ``not_refinable`` when some block's slices share no factor
+    bases.
     """
     retained = len(analysis.slices)
     groups = degeneracy_groups(analysis.pivot_spectrum[:retained], tol)

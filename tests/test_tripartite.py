@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from trischmidt import linalg, tripartite
 from trischmidt import (
     DimensionMismatch,
+    Indeterminate,
     NoConvergence,
     PureState,
     RankNotOne,
@@ -28,6 +31,22 @@ from trischmidt import (
 
 GHZ = ghz_state((2, 2, 2))
 W = w_state((2, 2, 2))
+
+
+def _antisymmetric_state() -> PureState:
+    # eps_ijk / sqrt(6): every slice is an antisymmetric matrix of rank two
+    amp = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        amp[perm] = np.linalg.det(np.eye(3)[list(perm)]) / np.sqrt(6)
+    return PureState((3, 3, 3), amp.reshape(-1))
+
+
+ANTISYM = _antisymmetric_state()
+
+
+def _permute_parties(state: PureState, perm) -> PureState:
+    dims = tuple(state.dims[p] for p in perm)
+    return PureState(dims, state.tensor.transpose(perm).reshape(-1))
 
 
 def test_analyze_ghz():
@@ -164,6 +183,8 @@ def test_refine_recovers_rotated_ghz():
     refined = refine_degenerate(analysis)
     assert not refined.not_refinable
     assert refined.slice_ranks == (1, 1)
+    basis = refined.pivot_basis
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-10
     verdict = check(rotated)
     assert verdict.decomposable
     assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-9
@@ -179,6 +200,11 @@ def test_refine_handles_mixed_bell_slices():
     verdict = check(state)
     assert verdict.decomposable
     assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-9
+    # the slices of eps_ijk share no factor bases: every combination has rank two
+    assert tripartite._refine_block(list(analyze(ANTISYM).slices), Tolerances()) is None
+    # shared bases with more modes than slices admit no rank-one slicing
+    wide = [np.diag([1.0, 1.0, 0.0]) / 2, np.diag([0.0, 0.0, np.sqrt(2)]) / 2]
+    assert tripartite._refine_block(wide, Tolerances()) is None
 
 
 def test_reconstruct_from_explicit_decomposition():
@@ -288,6 +314,12 @@ def test_s_spectrum_matches_rho_b_when_shared_basis_exists():
     assert np.max(np.abs(analysis.s_spectrum - report.spectrum_b[:k])) < 1e-9
     # generic entangled slices do not share a basis
     assert analyze(haar_state((3, 3, 3), seed=201)).s_spectrum is None
+    tol = Tolerances()
+    # product slices with a common left factor: their right factors differ
+    assert tripartite._shared_basis_spectrum([np.diag([1.0, 0.0]), np.diag([1.0], 1)], tol) is None
+    # a 1e-4 off-diagonal entry is far above the shared-basis tolerance
+    leak = np.array([[0.0, 1e-4], [0.0, 0.0]])
+    assert tripartite._shared_basis_spectrum([np.diag([1.0, 0.5]), leak], tol) is None
 
 
 def test_s_spectrum_is_computed_once_and_only_on_access(monkeypatch):
@@ -390,11 +422,70 @@ def test_check_all_pivots_agree_on_equal_dims():
 
 
 def test_forced_degenerate_generator_states_accepted():
-    for seed, weights in ((1, [0.4, 0.4, 0.2]), (2, [0.25, 0.25, 0.25, 0.25]), (3, [0.5, 0.5])):
-        dims = (max(len(weights), 2), 5, 6)
-        state = schmidt_state(dims, weights, seed=seed)
+    cases = [
+        (schmidt_state((max(len(weights), 2), 5, 6), weights, seed=seed), weights)
+        for seed, weights in ((1, [0.4, 0.4, 0.2]), (2, [0.25, 0.25, 0.25, 0.25]), (3, [0.5, 0.5]))
+    ]
+    # a 3-fold tie: 3x3x3 GHZ with a Haar unitary on A
+    u = haar_unitary(3, np.random.default_rng(5))
+    cases.append((apply_local_unitary(ghz_state((3, 3, 3)), 0, u), [1 / 3] * 3))
+    for state, weights in cases:
         verdict = check(state)
-        assert verdict.decomposable, (seed, weights)
+        assert verdict.decomposable, weights
         expected = np.sort(np.array(weights) / np.sum(weights))[::-1]
         assert np.max(np.abs(verdict.decomposition.weights - expected)) < 1e-8
         assert abs(overlap(state, reconstruct_tripartite(verdict.decomposition))) >= 1 - 1e-9
+
+
+def test_verdict_invariant_under_party_permutations():
+    rng = np.random.default_rng(59)
+    ghz = ghz_state((3, 3, 3))
+    for party in range(3):
+        ghz = apply_local_unitary(ghz, party, haar_unitary(3, rng))
+    ab = np.zeros((2, 2, 2), dtype=complex)
+    ab[0, 0, 0] = np.sqrt(0.7)
+    ab[1, 0, 1] = np.sqrt(0.3)
+    cases = (
+        (schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=91), True),
+        # tied weights in Haar bases: the degenerate blocks need refinement
+        (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
+        (ghz, True),
+        (W, False),
+        (PureState((2, 2, 2), ab.reshape(-1)), False),
+        (haar_state((2, 3, 4), seed=93), False),
+    )
+    for state, expect in cases:
+        base = check(state)
+        assert base.decomposable is expect
+        for perm in itertools.permutations(range(3)):
+            verdict = check(_permute_parties(state, perm))
+            assert verdict.decomposable is expect, perm
+            if expect:
+                diff = verdict.decomposition.weights - base.decomposition.weights
+                assert np.max(np.abs(diff)) < 1e-8, perm
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="near-tie: weights 1e-7 apart count as distinct, and pivot eigenvectors "
+    "conditioned only to eps/gap leave slices of rank two",
+)
+def test_near_tie_weights_accepted():
+    rejected = [
+        seed
+        for seed in range(20)
+        if not check(schmidt_state((3, 5, 5), [0.4, 0.4 - 1e-7, 0.2], seed=seed)).decomposable
+    ]
+    assert rejected == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=Indeterminate,
+    reason="antisym: every slice of eps_ijk has rank two, yet the degenerate "
+    "fallback finds no sound rejection",
+)
+def test_antisymmetric_state_rejected():
+    verdict = check(ANTISYM)
+    assert not verdict.decomposable
