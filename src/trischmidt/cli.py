@@ -5,15 +5,19 @@ with amplitudes row-major, first index slowest.  Reports are JSON on
 stdout; errors go to stderr.  All numbers are serialized with 17
 significant digits so a report round-trips doubles losslessly.
 
-Commands::
+Commands, each with the options it reads::
 
-    trischmidt gen {ghz,w,product,schmidt,haar} --dims 2,2,2 [--weights ..] [--seed N]
-    trischmidt check STATEFILE
-    trischmidt spectra STATEFILE
-    trischmidt decompose-bipartite STATEFILE
+    trischmidt gen {ghz,w,product,schmidt,haar} --dims 2,2,2 [--weights ..] [--seed N] [-o FILE]
+    trischmidt check STATEFILE [--tol-rank X] [--tol-degen X] [--tol-recon X] [--all-pivots]
+    trischmidt spectra STATEFILE [--tol-rank X] [--tol-degen X] [--tol-recon X]
+    trischmidt decompose-bipartite STATEFILE [--tol-rank X] [--tol-degen X] [--tol-recon X]
+
+Every report echoes the three tolerances; only ``check`` reads --tol-degen.
+--all-pivots adds a verdict per pivot party (for equal dimensions).
 
 Exit codes: 0 decomposable / success, 1 not decomposable, 2 indeterminate
-(degenerate refinement failed), 64 usage error, 65 data error.
+(degenerate refinement failed), 64 usage error (also a tolerance outside
+(0, 1)), 65 data error.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__, generate
-from .bipartite import entanglement_entropy, entropy_bits, schmidt_decompose
+from .bipartite import entropy_bits, schmidt_decompose
 from .exceptions import Indeterminate, TrischmidtError
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, validate
 from .tripartite import PARTY_NAMES, check, spectrum_report
 
@@ -48,44 +53,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _format_number(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("non-finite number in output")
-    return format(float(x), ".17g")
-
-
 def _dump_json(obj) -> str:
     """Serialize with 17-significant-digit floats and stable key order."""
-    pieces: list[str] = []
-    _write_json(obj, pieces)
-    return "".join(pieces)
-
-
-def _write_json(obj, out: list) -> None:
     if isinstance(obj, dict):
-        out.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write_json(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                out.append(", ")
-            _write_json(value, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_number(float(obj)))
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        items = (f"{json.dumps(str(key))}: {_dump_json(value)}" for key, value in obj.items())
+        return "{" + ", ".join(items) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_dump_json(value) for value in obj) + "]"
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError("non-finite number in output")
+        return format(float(obj), ".17g")
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _pairs(values: np.ndarray) -> list:
@@ -104,7 +87,8 @@ def parse_state_payload(payload) -> PureState:
         raise TrischmidtError(f"state file is missing keys: {sorted(missing)}")
     dims = payload["dims"]
     amplitudes = payload["amplitudes"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    # bool is an int subclass, so JSON true/false would pass as dims 1/0
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise TrischmidtError("dims must be a list of integers")
     try:
         amps = np.array([complex(re, im) for re, im in amplitudes], dtype=np.complex128)
@@ -126,25 +110,37 @@ def load_state_file(path: str) -> PureState:
     return parse_state_payload(payload)
 
 
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        rank_rel=args.tol_rank, degen_rel=args.tol_degen, recon_abs=args.tol_recon
-    )
-
-
-def _tool_section() -> dict:
-    return {"name": "trischmidt", "version": __version__, "rng": generate.RNG_NAME}
-
-
-def _tolerance_section(tol: Tolerances) -> dict:
-    return {
-        "rank_rel": tol.rank_rel,
-        "degen_rel": tol.degen_rel,
-        "recon_abs": tol.recon_abs,
+def _load(args, n_parties: int) -> tuple[PureState, dict]:
+    """Read and validate ``args.input``; return it and the ``tool``,
+    ``tolerances`` and ``dims`` sections every report opens with."""
+    state = validate(load_state_file(args.input), args.tol)
+    if state.n_parties != n_parties:
+        kind = "tripartite" if n_parties == 3 else "bipartite"
+        raise TrischmidtError(f"{args.command} requires a {kind} state ({n_parties} dims)")
+    header = {
+        "tool": {"name": "trischmidt", "version": __version__, "rng": generate.RNG_NAME},
+        "tolerances": asdict(args.tol),
+        "dims": list(state.dims),
     }
+    return state, header
 
 
-def _spectra_sections(state: PureState, tol: Tolerances) -> tuple[dict, dict, dict]:
+def _verdict(state: PureState, tol: Tolerances, pivot: int | None = None) -> tuple:
+    """``check`` as ``(decomposable, degenerate, max_residual, weights, analysis)``.
+
+    An indeterminate verdict reads ``decomposable`` None, ``degenerate``
+    True, no weights, and the analysis it carries (possibly None).
+    """
+    try:
+        verdict = check(state, tol, pivot=pivot)
+    except Indeterminate as exc:
+        return None, True, exc.max_residual, None, exc.analysis
+    sd = verdict.decomposition
+    weights = [float(w) for w in sd.weights] if sd else None
+    return verdict.decomposable, verdict.degenerate, verdict.max_residual, weights, verdict.analysis
+
+
+def _spectra_sections(state: PureState, tol: Tolerances) -> dict:
     report = spectrum_report(state, tol)
     single = {"A": report.spectrum_a, "B": report.spectrum_b, "C": report.spectrum_c}
     spectra = {name: [float(x) for x in s] for name, s in single.items()}
@@ -156,75 +152,20 @@ def _spectra_sections(state: PureState, tol: Tolerances) -> tuple[dict, dict, di
         "A_BC": report.equal_a_bc,
     }
     entropies = {name: entropy_bits(s, tol) for name, s in single.items()}
-    return spectra, flags, entropies
+    return {"spectra": spectra, "spectrum_equal": flags, "entropy_bits": entropies}
 
 
-def _check_payload(state: PureState, tol: Tolerances, all_pivots: bool) -> tuple[dict, int]:
-    try:
-        verdict = check(state, tol)
-        decomposable: bool | None = verdict.decomposable
-        degenerate = verdict.degenerate
-        indeterminate = False
-        residual = verdict.max_residual
-        weights = (
-            [float(w) for w in verdict.decomposition.weights] if verdict.decomposition else None
-        )
-        pivot = verdict.analysis.pivot_party
-    except Indeterminate as exc:
-        decomposable = None
-        degenerate = True
-        indeterminate = True
-        residual = exc.max_residual
-        weights = None
-        pivot = exc.analysis.pivot_party if exc.analysis is not None else 0
-    spectra, flags, entropies = _spectra_sections(state, tol)
-    payload = {
-        "tool": _tool_section(),
-        "tolerances": _tolerance_section(tol),
-        "dims": list(state.dims),
-        "pivot_party": PARTY_NAMES[pivot],
-        "verdict": {
-            "decomposable": decomposable,
-            "degenerate": degenerate,
-            "indeterminate": indeterminate,
-            "max_residual": residual,
-        },
-        "weights": weights,
-        "spectra": spectra,
-        "spectrum_equal": flags,
-        "entropy_bits": entropies,
-    }
-    if all_pivots:
-        payload["all_pivots"] = {
-            PARTY_NAMES[p]: _pivot_verdict(state, tol, p) for p in range(3)
-        }
-    if indeterminate:
-        code = EXIT_INDETERMINATE
-    elif decomposable:
-        code = EXIT_DECOMPOSABLE
-    else:
-        code = EXIT_NOT_DECOMPOSABLE
-    return payload, code
-
-
-def _pivot_verdict(state: PureState, tol: Tolerances, pivot: int) -> dict:
+def _pivot_entry(state: PureState, tol: Tolerances, pivot: int) -> dict:
     if state.dims[pivot] == 1:
         # a trivial party has a single slice (the whole state); the
         # per-party rank-one criterion is meaningless there
         return {"decomposable": None, "max_residual": None, "slice_ranks": None}
-    try:
-        verdict = check(state, tol, pivot=pivot)
-        return {
-            "decomposable": verdict.decomposable,
-            "max_residual": verdict.max_residual,
-            "slice_ranks": list(verdict.analysis.slice_ranks),
-        }
-    except Indeterminate as exc:
-        return {
-            "decomposable": None,
-            "max_residual": exc.max_residual,
-            "slice_ranks": list(exc.analysis.slice_ranks) if exc.analysis else None,
-        }
+    decomposable, _, residual, _, analysis = _verdict(state, tol, pivot)
+    return {
+        "decomposable": decomposable,
+        "max_residual": residual,
+        "slice_ranks": list(analysis.slice_ranks) if analysis else None,
+    }
 
 
 def _cmd_gen(args) -> int:
@@ -236,16 +177,12 @@ def _cmd_gen(args) -> int:
     if kind == "schmidt" and args.weights is None:
         print("trischmidt gen: error: --weights is required for kind 'schmidt'", file=sys.stderr)
         return EXIT_USAGE
-    if kind == "ghz":
-        state = generate.ghz_state(dims)
-    elif kind == "w":
-        state = generate.w_state(dims)
-    elif kind == "product":
-        state = generate.product_state(dims)
-    elif kind == "schmidt":
+    if kind == "schmidt":
         state = generate.schmidt_state(dims, args.weights, args.seed)
-    else:
+    elif kind == "haar":
         state = generate.haar_state(dims, args.seed)
+    else:
+        state = getattr(generate, f"{kind}_state")(dims)  # ghz_state, w_state, product_state
     text = _dump_json(state_payload(state)) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -256,51 +193,47 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tol = _tolerances(args)
-    state = validate(load_state_file(args.input), tol)
-    if state.n_parties != 3:
-        raise TrischmidtError("check requires a tripartite state (3 dims)")
-    payload, code = _check_payload(state, tol, args.all_pivots)
-    sys.stdout.write(_dump_json(payload) + "\n")
-    return code
+    state, report = _load(args, 3)
+    decomposable, degenerate, residual, weights, analysis = _verdict(state, args.tol)
+    indeterminate = decomposable is None
+    report["pivot_party"] = PARTY_NAMES[analysis.pivot_party if analysis else 0]
+    report["verdict"] = {
+        "decomposable": decomposable,
+        "degenerate": degenerate,
+        "indeterminate": indeterminate,
+        "max_residual": residual,
+    }
+    report["weights"] = weights
+    report.update(_spectra_sections(state, args.tol))
+    if args.all_pivots:
+        report["all_pivots"] = {
+            PARTY_NAMES[p]: _pivot_entry(state, args.tol, p) for p in range(3)
+        }
+    sys.stdout.write(_dump_json(report) + "\n")
+    if indeterminate:
+        return EXIT_INDETERMINATE
+    return EXIT_DECOMPOSABLE if decomposable else EXIT_NOT_DECOMPOSABLE
 
 
 def _cmd_spectra(args) -> int:
-    tol = _tolerances(args)
-    state = validate(load_state_file(args.input), tol)
-    if state.n_parties != 3:
-        raise TrischmidtError("spectra requires a tripartite state (3 dims)")
-    spectra, flags, entropies = _spectra_sections(state, tol)
-    payload = {
-        "tool": _tool_section(),
-        "tolerances": _tolerance_section(tol),
-        "dims": list(state.dims),
-        "spectra": spectra,
-        "spectrum_equal": flags,
-        "entropy_bits": entropies,
-    }
-    sys.stdout.write(_dump_json(payload) + "\n")
+    state, report = _load(args, 3)
+    report.update(_spectra_sections(state, args.tol))
+    sys.stdout.write(_dump_json(report) + "\n")
     return EXIT_DECOMPOSABLE
 
 
 def _cmd_decompose_bipartite(args) -> int:
-    tol = _tolerances(args)
-    state = validate(load_state_file(args.input), tol)
-    if state.n_parties != 2:
-        raise TrischmidtError("decompose-bipartite requires a bipartite state (2 dims)")
-    matrix = state.tensor
-    sd = schmidt_decompose(matrix, tol)
-    payload = {
-        "tool": _tool_section(),
-        "tolerances": _tolerance_section(tol),
-        "dims": list(state.dims),
-        "coefficients": [float(c) for c in sd.coefficients],
-        "left_basis": [_pairs(sd.left_basis[:, i]) for i in range(sd.coefficients.size)],
-        "right_basis": [_pairs(sd.right_basis[:, i]) for i in range(sd.coefficients.size)],
-        "input_norm": sd.input_norm,
-        "entropy_bits": entanglement_entropy(matrix, tol),
-    }
-    sys.stdout.write(_dump_json(payload) + "\n")
+    state, report = _load(args, 2)
+    sd = schmidt_decompose(state.tensor, args.tol)
+    columns = range(sd.coefficients.size)
+    report["coefficients"] = [float(c) for c in sd.coefficients]
+    report["left_basis"] = [_pairs(sd.left_basis[:, i]) for i in columns]
+    report["right_basis"] = [_pairs(sd.right_basis[:, i]) for i in columns]
+    report["input_norm"] = sd.input_norm
+    # validate bounded the norm, so the Schmidt coefficients are the
+    # spectrum of either reduced density matrix
+    report["entropy_bits"] = entropy_bits(sd.coefficients**2, args.tol)
+    sys.stdout.write(_dump_json(report) + "\n")
     return EXIT_DECOMPOSABLE
 
 
@@ -321,43 +254,56 @@ def _parse_weights(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"weights must be comma-separated numbers: {exc}")
 
 
+class _SetTolerance(argparse.Action):
+    """Set one field of ``args.tol``; a value ``Tolerances`` refuses is a usage error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        try:
+            namespace.tol = replace(namespace.tol, **{self.dest: value})
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from exc
+
+
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rank", type=float, default=1e-10, metavar="X",
-                        help="relative zero cutoff for spectra (default 1e-10)")
-    common.add_argument("--tol-degen", type=float, default=1e-8, metavar="X",
-                        help="relative eigenvalue-equality threshold (default 1e-8)")
-    common.add_argument("--tol-recon", type=float, default=1e-10, metavar="X",
-                        help="absolute reconstruction/normalization threshold (default 1e-10)")
-    common.add_argument("--seed", type=int, default=None, metavar="N",
-                        help="seed for the numpy-pcg64 generator (haar/schmidt)")
-    common.add_argument("--all-pivots", action="store_true",
-                        help="also report per-party verdicts (equal-dimension mode)")
+    tolerances = argparse.ArgumentParser(add_help=False)
+    tolerances.set_defaults(tol=DEFAULT_TOL)
+    for flag, field, text in (
+        ("--tol-rank", "rank_rel", "relative zero cutoff for spectra (default 1e-10)"),
+        ("--tol-degen", "degen_rel", "relative eigenvalue-equality threshold (default 1e-8)"),
+        ("--tol-recon", "recon_abs",
+         "absolute reconstruction/normalization threshold (default 1e-10)"),
+    ):
+        tolerances.add_argument(flag, dest=field, type=float, action=_SetTolerance,
+                                default=argparse.SUPPRESS, metavar="X", help=text)
 
     parser = _Parser(prog="trischmidt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"trischmidt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate a state file")
+    p_gen = sub.add_parser("gen", help="generate a state file")
+    p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("kind", choices=_GEN_KINDS)
     p_gen.add_argument("--dims", type=_parse_dims, required=True, metavar="D1,D2[,D3]")
     p_gen.add_argument("--weights", type=_parse_weights, default=None, metavar="W1,W2,..",
                        help="positive weights for kind 'schmidt' (normalized to sum 1)")
+    p_gen.add_argument("--seed", type=int, default=None, metavar="N",
+                       help="seed for the numpy-pcg64 generator (haar/schmidt)")
     p_gen.add_argument("-o", "--output", default=None, metavar="FILE",
                        help="write the state file here instead of stdout")
 
-    p_check = sub.add_parser("check", parents=[common],
-                             help="test a tripartite state for a Schmidt decomposition")
-    p_check.add_argument("input", help="state file path, or - for stdin")
-
-    p_spec = sub.add_parser("spectra", parents=[common],
-                            help="reduced-density spectra and equality flags")
-    p_spec.add_argument("input", help="state file path, or - for stdin")
-
-    p_bi = sub.add_parser("decompose-bipartite", parents=[common],
-                          help="Schmidt coefficients, bases and entropy of a bipartite state")
-    p_bi.add_argument("input", help="state file path, or - for stdin")
+    for name, handler, text in (
+        ("check", _cmd_check, "test a tripartite state for a Schmidt decomposition"),
+        ("spectra", _cmd_spectra, "reduced-density spectra and equality flags"),
+        ("decompose-bipartite", _cmd_decompose_bipartite,
+         "Schmidt coefficients, bases and entropy of a bipartite state"),
+    ):
+        reader = sub.add_parser(name, parents=[tolerances], help=text)
+        reader.set_defaults(handler=handler)
+        reader.add_argument("input", help="state file path, or - for stdin")
+    sub.choices["check"].add_argument(
+        "--all-pivots", action="store_true",
+        help="also report per-party verdicts (equal-dimension mode)")
 
     return parser
 
@@ -368,18 +314,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "gen": _cmd_gen,
-        "check": _cmd_check,
-        "spectra": _cmd_spectra,
-        "decompose-bipartite": _cmd_decompose_bipartite,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except Indeterminate as exc:
         print(f"trischmidt {args.command}: indeterminate: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE
-    except (TrischmidtError, ValueError, OSError) as exc:
+    except (TrischmidtError, ValueError, OSError, MemoryError) as exc:
         print(f"trischmidt {args.command}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 

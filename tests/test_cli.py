@@ -33,6 +33,16 @@ def write_state(tmp_path, name, state):
     return str(path)
 
 
+@pytest.fixture
+def state_files(tmp_path):
+    bell = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    return {
+        "ghz": write_state(tmp_path, "ghz.json", ghz_state((2, 2, 2))),
+        "w": write_state(tmp_path, "w.json", w_state((2, 2, 2))),
+        "bell": write_state(tmp_path, "bell.json", bell),
+    }
+
+
 def test_state_payload_round_trip():
     state = ghz_state((2, 2, 2))
     rebuilt = parse_state_payload(json.loads(json.dumps(state_payload(state))))
@@ -115,6 +125,14 @@ def test_check_truncated_file_is_data_error(tmp_path, capsys):
     assert code == EXIT_DATA
     assert "DimensionMismatch" in err
     assert out == ""
+    # JSON true is a Python int subclass; it must not read as dimension 1
+    path = tmp_path / "bool.json"
+    path.write_text('{"dims": [true, 2, 2], "amplitudes": ' + json.dumps([[0.5, 0.0]] * 4) + "}",
+                    encoding="utf-8")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == EXIT_DATA
+    assert "dims must be a list of integers" in err
+    assert out == ""
 
 
 def test_check_invalid_json_is_data_error(tmp_path, capsys):
@@ -145,6 +163,12 @@ def test_check_indeterminate_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["verdict"]["indeterminate"] is True
     assert payload["verdict"]["decomposable"] is None
+    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
+    assert code == EXIT_INDETERMINATE
+    for party in ("A", "B", "C"):
+        entry = json.loads(out)["all_pivots"][party]
+        assert entry["decomposable"] is None
+        assert entry["slice_ranks"] is None
 
 
 def test_check_rejects_bipartite_input(tmp_path, capsys):
@@ -229,11 +253,88 @@ def test_decompose_bipartite_rejects_tripartite(tmp_path, capsys):
     assert "bipartite" in err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(tmp_path, capsys):
     code, _, _ = run_cli(["no-such-command"], capsys)
     assert code == EXIT_USAGE
     code, _, _ = run_cli([], capsys)
     assert code == EXIT_USAGE
+    path = write_state(tmp_path, "g.json", ghz_state((2, 2, 2)))
+    code, out, err = run_cli(["check", path, "--tol-rank", "2"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "rank_rel must lie strictly in (0, 1)" in err
+    code, out, err = run_cli(["check", path, "--tol-recon", "nan"], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "recon_abs must lie strictly in (0, 1)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{ghz}", "--seed", "1"],
+    ["spectra", "{ghz}", "--all-pivots"],
+    ["decompose-bipartite", "{bell}", "--seed", "1"],
+    ["gen", "ghz", "--dims", "2,2,2", "--tol-rank", "1e-6"],
+])
+def test_unread_option_is_usage_error(argv, state_files, capsys):
+    code, out, err = run_cli([arg.format(**state_files) for arg in argv], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_out_of_memory_is_data_error(capsys, monkeypatch):
+    import trischmidt.generate as generate_mod
+
+    def fake_ghz(dims):
+        raise MemoryError("Unable to allocate the state")
+
+    monkeypatch.setattr(generate_mod, "ghz_state", fake_ghz)
+    code, out, err = run_cli(["gen", "ghz", "--dims", "2,2,2"], capsys)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "trischmidt gen: error: MemoryError: Unable to allocate the state\n"
+
+
+_HEADER = [
+    "tool.name", "tool.version", "tool.rng",
+    "tolerances.rank_rel", "tolerances.degen_rel", "tolerances.recon_abs",
+    "dims",
+]
+_SPECTRA = [
+    "spectra.A", "spectra.B", "spectra.C", "spectra.BC",
+    "spectrum_equal.A_B", "spectrum_equal.A_C", "spectrum_equal.B_C", "spectrum_equal.A_BC",
+    "entropy_bits.A", "entropy_bits.B", "entropy_bits.C",
+]
+_VERDICT = [
+    "pivot_party",
+    "verdict.decomposable", "verdict.degenerate", "verdict.indeterminate", "verdict.max_residual",
+    "weights",
+]
+_ALL_PIVOTS = [
+    "all_pivots.A.decomposable", "all_pivots.A.max_residual", "all_pivots.A.slice_ranks",
+    "all_pivots.B.decomposable", "all_pivots.B.max_residual", "all_pivots.B.slice_ranks",
+    "all_pivots.C.decomposable", "all_pivots.C.max_residual", "all_pivots.C.slice_ranks",
+]
+_BIPARTITE = ["coefficients", "left_basis", "right_basis", "input_norm", "entropy_bits"]
+
+
+def _leaf_paths(obj, prefix=""):
+    paths = []
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            paths += _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            paths.append(prefix + key)
+    return paths
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "{w}"], _HEADER + _VERDICT + _SPECTRA),
+    (["check", "{w}", "--all-pivots"], _HEADER + _VERDICT + _SPECTRA + _ALL_PIVOTS),
+    (["spectra", "{w}"], _HEADER + _SPECTRA),
+    (["decompose-bipartite", "{bell}"], _HEADER + _BIPARTITE),
+])
+def test_report_key_order(argv, expected, state_files, capsys):
+    _, out, _ = run_cli([arg.format(**state_files) for arg in argv], capsys)
+    assert _leaf_paths(json.loads(out)) == expected
 
 
 def test_gen_check_pipeline_in_process(tmp_path, capsys):
