@@ -81,7 +81,7 @@ def entropy_bits(probabilities, tol: Tolerances = DEFAULT_TOL) -> float:
     if top <= 0.0:
         return 0.0
     p = p[p > tol.rank_rel * top]
-    return float(-(p * np.log2(p)).sum())
+    return float(0.0 - (p * np.log2(p)).sum())  # 0 - x, not -x: never -0.0
 
 
 def entanglement_entropy(v, tol: Tolerances = DEFAULT_TOL) -> float:

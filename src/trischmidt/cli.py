@@ -8,11 +8,11 @@ significant digits so a report round-trips doubles losslessly.
 Commands, each with the options it reads::
 
     trischmidt gen {ghz,w,product,schmidt,haar} --dims 2,2,2 [--weights ..] [--seed N] [-o FILE]
-    trischmidt check STATEFILE [--tol-rank X] [--tol-degen X] [--tol-recon X] [--all-pivots]
-    trischmidt spectra STATEFILE [--tol-rank X] [--tol-degen X] [--tol-recon X]
-    trischmidt decompose-bipartite STATEFILE [--tol-rank X] [--tol-degen X] [--tol-recon X]
+    trischmidt check STATEFILE [--tol-rank X] [--tol-recon X] [--tol-degen X] [--all-pivots]
+    trischmidt spectra STATEFILE [--tol-rank X] [--tol-recon X]
+    trischmidt decompose-bipartite STATEFILE [--tol-rank X] [--tol-recon X]
 
-Every report echoes the three tolerances; only ``check`` reads --tol-degen.
+Every report echoes the three tolerances; only ``check`` takes --tol-degen.
 --all-pivots adds a verdict per pivot party (for equal dimensions).
 
 Exit codes: 0 decomposable / success, 1 not decomposable, 2 indeterminate
@@ -92,6 +92,8 @@ def parse_state_payload(payload) -> PureState:
         raise TrischmidtError("dims must be a list of integers")
     try:
         amps = np.array([complex(re, im) for re, im in amplitudes], dtype=np.complex128)
+        if any(type(re) is bool or type(im) is bool for re, im in amplitudes):
+            raise TypeError("JSON true/false is not a number")
     except (TypeError, ValueError) as exc:
         raise TrischmidtError(f"amplitudes must be [re, im] pairs: {exc}") from exc
     return PureState(tuple(dims), amps)
@@ -267,14 +269,16 @@ class _SetTolerance(argparse.Action):
 def _build_parser() -> _Parser:
     tolerances = argparse.ArgumentParser(add_help=False)
     tolerances.set_defaults(tol=DEFAULT_TOL)
-    for flag, field, text in (
-        ("--tol-rank", "rank_rel", "relative zero cutoff for spectra (default 1e-10)"),
-        ("--tol-degen", "degen_rel", "relative eigenvalue-equality threshold (default 1e-8)"),
-        ("--tol-recon", "recon_abs",
+    degen = argparse.ArgumentParser(add_help=False)  # only check reads degen_rel
+    for parent, flag, field, text in (
+        (tolerances, "--tol-rank", "rank_rel", "relative zero cutoff for spectra (default 1e-10)"),
+        (tolerances, "--tol-recon", "recon_abs",
          "absolute reconstruction/normalization threshold (default 1e-10)"),
+        (degen, "--tol-degen", "degen_rel",
+         "relative eigenvalue-equality threshold (default 1e-8)"),
     ):
-        tolerances.add_argument(flag, dest=field, type=float, action=_SetTolerance,
-                                default=argparse.SUPPRESS, metavar="X", help=text)
+        parent.add_argument(flag, dest=field, type=float, action=_SetTolerance,
+                            default=argparse.SUPPRESS, metavar="X", help=text)
 
     parser = _Parser(prog="trischmidt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -292,13 +296,14 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("-o", "--output", default=None, metavar="FILE",
                        help="write the state file here instead of stdout")
 
-    for name, handler, text in (
-        ("check", _cmd_check, "test a tripartite state for a Schmidt decomposition"),
-        ("spectra", _cmd_spectra, "reduced-density spectra and equality flags"),
-        ("decompose-bipartite", _cmd_decompose_bipartite,
+    for name, handler, parents, text in (
+        ("check", _cmd_check, [tolerances, degen],
+         "test a tripartite state for a Schmidt decomposition"),
+        ("spectra", _cmd_spectra, [tolerances], "reduced-density spectra and equality flags"),
+        ("decompose-bipartite", _cmd_decompose_bipartite, [tolerances],
          "Schmidt coefficients, bases and entropy of a bipartite state"),
     ):
-        reader = sub.add_parser(name, parents=[tolerances], help=text)
+        reader = sub.add_parser(name, parents=parents, help=text)
         reader.set_defaults(handler=handler)
         reader.add_argument("input", help="state file path, or - for stdin")
     sub.choices["check"].add_argument(

@@ -10,6 +10,10 @@ vector and the slice factors form orthonormal families on both remaining
 parties; the weights ``d_i`` are the squared slice norms, which are the
 pivot eigenvalues.
 
+``analyze`` stacks the slices into one (r, d1, d2) array and takes one
+batched SVD of it: the singular values give each slice's rank and the
+verdict's residual, and the leading singular vectors are the factors.
+
 Rank-one slices alone are *not* enough: a state such as
 ``a|000> + b|101>`` has product slices whose B-side factors coincide,
 and no single-sum decomposition exists (its single-party spectra
@@ -35,7 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .bipartite import BipartiteSchmidt, schmidt_decompose
+# Unused here, but kept importable by name: the benchmark tracer wraps it.
+from .bipartite import schmidt_decompose  # noqa: F401
 from .exceptions import DimensionMismatch, Indeterminate, NoConvergence, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, partial_inner_product, reduced_density, validate
@@ -49,11 +54,15 @@ _MIX_SEED = 0x5EED5
 
 @dataclass(frozen=True, eq=False)
 class SliceAnalysis:
-    """Eigenbasis slicing of a tripartite state plus per-slice Schmidt data.
+    """Eigenbasis slicing of a tripartite state and the SVD of its slices.
 
     ``pivot_spectrum`` is the full descending spectrum of the pivot's
     reduced density matrix; slices are kept only for eigenvalues above
     the rank cutoff (``pivot_basis`` has one column per retained slice).
+    ``slices`` stacks them (r x d1 x d2, over the two remaining parties);
+    row i of ``slice_values`` (r x min(d1, d2)) holds slice i's descending
+    singular values and column i of ``left_factors`` (d1 x r) and
+    ``right_factors`` (d2 x r) its leading singular vectors.
     ``s_spectrum`` holds the per-mode sums of the slice Schmidt weights
     accumulated in a common slice basis; it is None when no common basis
     exists within tolerance; it is computed on first access, with ``tol``.
@@ -63,8 +72,10 @@ class SliceAnalysis:
     pivot_party: int
     pivot_basis: np.ndarray
     pivot_spectrum: np.ndarray
-    slices: tuple[np.ndarray, ...]
-    slice_schmidt: tuple[BipartiteSchmidt, ...]
+    slices: np.ndarray
+    slice_values: np.ndarray
+    left_factors: np.ndarray
+    right_factors: np.ndarray
     slice_ranks: tuple[int, ...]
     tol: Tolerances
     not_refinable: bool = False
@@ -143,22 +154,19 @@ def degeneracy_groups(spectrum, tol: Tolerances = DEFAULT_TOL) -> list[list[int]
     return groups
 
 
-def _max_residual(analysis: SliceAnalysis) -> float:
-    worst = 0.0
-    for sd in analysis.slice_schmidt:
-        if sd.coefficients.size >= 2:
-            worst = max(worst, float(sd.coefficients[1]))
-    return worst
-
-
-def _slice_data(slices, tol: Tolerances):
-    schmidts = tuple(schmidt_decompose(s, tol) for s in slices)
-    ranks = tuple(linalg.numerical_rank(sd.coefficients, tol) for sd in schmidts)
-    return schmidts, ranks
+def _slice_fields(slices: np.ndarray, tol: Tolerances) -> dict:
+    """The ``SliceAnalysis`` fields of a slice stack, from one batched SVD."""
+    try:
+        u, values, vh = np.linalg.svd(slices, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    ranks = np.count_nonzero(values > tol.rank_rel * values[:, :1], axis=1)
+    return dict(slices=slices, slice_values=values, left_factors=u[:, :, 0].T,
+                right_factors=vh[:, 0, :].T, slice_ranks=tuple(ranks.tolist()))
 
 
 def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> SliceAnalysis:
-    """Slice ``state`` along the pivot eigenbasis and Schmidt-analyze each slice.
+    """Slice ``state`` along the pivot eigenbasis and take the slices' SVD.
 
     ``pivot`` defaults to the smallest party of dimension >= 2 (ties go
     to A before B before C); passing it explicitly supports the
@@ -178,19 +186,16 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     spectrum = eig.eigenvalues
     retained = linalg.numerical_rank(np.maximum(spectrum, 0.0), tol)
     basis = np.ascontiguousarray(eig.eigenvectors[:, :retained])
-    slices = tuple(
-        partial_inner_product(state, pivot, basis[:, i], tol) for i in range(retained)
+    slices = np.array(
+        [partial_inner_product(state, pivot, basis[:, i], tol) for i in range(retained)]
     )
-    schmidts, ranks = _slice_data(slices, tol)
     return SliceAnalysis(
         dims=state.dims,
         pivot_party=pivot,
         pivot_basis=basis,
         pivot_spectrum=spectrum,
-        slices=slices,
-        slice_schmidt=schmidts,
-        slice_ranks=ranks,
         tol=tol,
+        **_slice_fields(slices, tol),
     )
 
 
@@ -205,7 +210,7 @@ def _shared_factors(slices, tol: Tolerances):
     ``y^H X_i z`` is diagonal within ``1e3 * recon_abs`` and the diagonals
     hold all the slices' mass.  ``diag[i]`` is the diagonal of slice i.
     """
-    stack = np.array(slices)
+    stack = np.asarray(slices)
     rng = np.random.default_rng(_MIX_SEED)
     mix = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
     u, s, vh = np.linalg.svd(np.tensordot(mix, stack, axes=1), full_matrices=False)
@@ -230,39 +235,27 @@ def _shared_basis_spectrum(slices, tol: Tolerances) -> np.ndarray | None:
     return np.sort(np.sum(np.abs(shared[2]) ** 2, axis=0))[::-1]
 
 
-def _top_factors(analysis: SliceAnalysis):
-    """Leading left/right Schmidt vectors of every slice, as columns."""
-    left = np.column_stack([sd.left_basis[:, 0] for sd in analysis.slice_schmidt])
-    right = np.column_stack([sd.right_basis[:, 0] for sd in analysis.slice_schmidt])
-    return left, right
+def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> bool:
+    """Whether the factor columns form orthonormal families on both parties.
 
-
-def _families_orthonormal(analysis: SliceAnalysis, tol: Tolerances) -> bool:
-    """Whether the slice factors form orthonormal families on both parties.
-
-    Parties of dimension 1 are skipped: their factors are scalars and
-    cannot be orthogonal, yet they contribute nothing to the state.
+    Parties of dimension 1 (one-row factors) are skipped: their factors
+    are scalars and cannot be orthogonal, yet they contribute nothing to
+    the state.
     """
-    ortho_tol = math.sqrt(tol.recon_abs)
-    left, right = _top_factors(analysis)
-    first, second = analysis.remaining_parties
     eye = np.eye(left.shape[1])
-    if analysis.dims[first] > 1:
-        if float(np.max(np.abs(left.conj().T @ left - eye))) > ortho_tol:
-            return False
-    if analysis.dims[second] > 1:
-        if float(np.max(np.abs(right.conj().T @ right - eye))) > ortho_tol:
-            return False
-    return True
+    return all(
+        f.shape[0] == 1 or float(np.max(np.abs(f.conj().T @ f - eye))) <= math.sqrt(tol.recon_abs)
+        for f in (left, right)
+    )
 
 
 def _configuration_valid(analysis: SliceAnalysis, tol: Tolerances) -> bool:
     if any(rank != 1 for rank in analysis.slice_ranks):
         return False
-    return _families_orthonormal(analysis, tol)
+    return _families_orthonormal(analysis.left_factors, analysis.right_factors, tol)
 
 
-def _refine_block(block_slices: list[np.ndarray], tol: Tolerances):
+def _refine_block(block_slices: np.ndarray, tol: Tolerances):
     """Rotate one degenerate eigenspace to a rank-one orthogonal slicing.
 
     Such a slicing exists exactly when the block slices are simultaneously
@@ -279,7 +272,7 @@ def _refine_block(block_slices: list[np.ndarray], tol: Tolerances):
         return None
     u, _, vh = np.linalg.svd(shared[2].conj().T)
     coeff = u @ vh  # closest unitary: keeps the new slicing an exact rotation
-    return coeff, list(np.tensordot(coeff, np.array(block_slices), axes=1))
+    return coeff, np.tensordot(coeff, block_slices, axes=1)
 
 
 def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> SliceAnalysis:
@@ -294,59 +287,54 @@ def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) ->
     flagged ``not_refinable`` when some block's slices share no factor
     bases.
     """
-    retained = len(analysis.slices)
-    groups = degeneracy_groups(analysis.pivot_spectrum[:retained], tol)
+    groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
     new_basis = analysis.pivot_basis.copy()
-    new_slices = list(analysis.slices)
+    new_slices = analysis.slices.copy()
     changed = False
     failed = False
     for group in groups:
-        if len(group) < 2:
+        if len(group) < 2 or all(analysis.slice_ranks[i] == 1 for i in group):
             continue
-        if all(analysis.slice_ranks[i] == 1 for i in group):
-            continue
-        block = [analysis.slices[i] for i in group]
-        result = _refine_block(block, tol)
+        result = _refine_block(analysis.slices[group], tol)
         if result is None:
             failed = True
             continue
         coeff, refined = result
-        for row, i in enumerate(group):
-            new_slices[i] = refined[row]
+        new_slices[group] = refined
         # u~_m = sum_i conj(coeff[m, i]) u_i pairs the rotated basis with
         # the rotated slices through the partial inner product.
         new_basis[:, group] = analysis.pivot_basis[:, group] @ coeff.conj().T
         changed = True
     if not changed and not failed:
         return analysis
-    slices = tuple(new_slices)
-    schmidts, ranks = _slice_data(slices, tol)
     return replace(
         analysis,
         pivot_basis=new_basis,
-        slices=slices,
-        slice_schmidt=schmidts,
-        slice_ranks=ranks,
         tol=tol,
         not_refinable=failed,
+        **_slice_fields(new_slices, tol),
     )
 
 
 def construct(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> TripartiteSchmidt:
     """Assemble the decomposition from an all-rank-one slicing.
 
-    Weights are the squared top Schmidt coefficients (the squared slice
-    norms); bases are the pivot eigenvectors and the top factor pairs,
+    Weights are the squared top singular values (the squared slice
+    norms); bases are the pivot eigenvectors and the slice factor pairs,
     sorted by descending weight.  Phases are normalized so the largest
     entries of the A and B vectors are real positive, with the leftover
     phase absorbed by the C vector.
     """
     if any(rank != 1 for rank in analysis.slice_ranks):
         raise RankNotOne(f"slice ranks {analysis.slice_ranks} are not all one")
-    left, right = _top_factors(analysis)
-    weights = np.array([float(sd.coefficients[0]) ** 2 for sd in analysis.slice_schmidt])
+    # C pow(x, 2) as in float ** 2; x * x differs in the last bit of some weights
+    weights = np.float_power(analysis.slice_values[:, 0], 2)
     first, second = analysis.remaining_parties
-    blocks = {analysis.pivot_party: analysis.pivot_basis.copy(), first: left, second: right}
+    blocks = {
+        analysis.pivot_party: analysis.pivot_basis,
+        first: analysis.left_factors,
+        second: analysis.right_factors,
+    }
     order = np.argsort(-weights, kind="stable")
     weights = weights[order]
     basis_a = np.ascontiguousarray(blocks[0][:, order])
@@ -394,8 +382,7 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
     :class:`Indeterminate`.
     """
     analysis = analyze(state, tol, pivot=pivot)
-    retained = len(analysis.slices)
-    groups = degeneracy_groups(analysis.pivot_spectrum[:retained], tol)
+    groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
     degenerate = any(len(g) > 1 for g in groups)
 
     final = analysis
@@ -406,7 +393,7 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
             final = refined
             accepted = True
 
-    residual = _max_residual(final)
+    residual = float(np.max(final.slice_values[:, 1:], initial=0.0))
     if accepted:
         return Verdict(True, construct(final, tol), final, degenerate, residual)
     if not degenerate:
@@ -424,13 +411,8 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
             continue
         # All-rank-one block whose members are not factor-orthogonal: the
         # span of this block contains no valid slicing at all.
-        sub = replace(
-            analysis,
-            slices=tuple(analysis.slices[i] for i in group),
-            slice_schmidt=tuple(analysis.slice_schmidt[i] for i in group),
-            slice_ranks=tuple(analysis.slice_ranks[i] for i in group),
-        )
-        if not _families_orthonormal(sub, tol):
+        left, right = analysis.left_factors[:, group], analysis.right_factors[:, group]
+        if not _families_orthonormal(left, right, tol):
             return Verdict(False, None, final, True, residual)
     # A decomposition forces equal nonzero single-party spectra.
     a, b, c = _party_spectra(state)

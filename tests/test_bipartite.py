@@ -7,6 +7,7 @@ from trischmidt import (
     NotNormalized,
     ZeroVector,
     entanglement_entropy,
+    entropy_bits,
     haar_state,
     haar_unitary,
     reconstruct_bipartite,
@@ -86,6 +87,9 @@ def test_entropy_bell_and_product():
     v = np.zeros((2, 2))
     v[0, 0] = 1.0
     assert entanglement_entropy(v) == 0.0
+    # +0.0, so reports never print -0
+    assert math.copysign(1.0, entanglement_entropy(v)) == 1.0
+    assert math.copysign(1.0, entropy_bits([1.0, 0.0])) == 1.0
 
 
 def test_entropy_09_01_against_direct_formula():

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -133,6 +134,13 @@ def test_check_truncated_file_is_data_error(tmp_path, capsys):
     assert code == EXIT_DATA
     assert "dims must be a list of integers" in err
     assert out == ""
+    # nor may JSON true/false read as the amplitude components 1/0
+    path = tmp_path / "bool_amplitude.json"
+    path.write_text('{"dims": [1, 1, 1], "amplitudes": [[true, false]]}', encoding="utf-8")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == EXIT_DATA
+    assert "amplitudes must be [re, im] pairs" in err
+    assert out == ""
 
 
 def test_check_invalid_json_is_data_error(tmp_path, capsys):
@@ -219,6 +227,16 @@ def test_spectra_product_state(tmp_path, capsys):
         assert payload["spectra"][party][0] == pytest.approx(1.0)
 
 
+def test_check_product_state_prints_no_negative_zero(tmp_path, capsys):
+    from trischmidt import product_state
+
+    path = write_state(tmp_path, "p.json", product_state((2, 3, 2)))
+    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
+    assert code == EXIT_DECOMPOSABLE
+    assert json.loads(out)["entropy_bits"] == {"A": 0, "B": 0, "C": 0}
+    assert re.search(r"-0[,\]}]", out) is None  # "-0" ends a number only as negative zero
+
+
 def test_decompose_bipartite_bell(tmp_path, capsys):
     bell = PureState((2, 2), np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
     path = write_state(tmp_path, "bell.json", bell)
@@ -270,6 +288,8 @@ def test_usage_error_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["check", "{ghz}", "--seed", "1"],
     ["spectra", "{ghz}", "--all-pivots"],
+    ["spectra", "{ghz}", "--tol-degen", "1e-6"],
+    ["decompose-bipartite", "{bell}", "--tol-degen", "1e-6"],
     ["decompose-bipartite", "{bell}", "--seed", "1"],
     ["gen", "ghz", "--dims", "2,2,2", "--tol-rank", "1e-6"],
 ])

@@ -301,6 +301,48 @@ def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NoConvergence):
         spectrum_report(GHZ)
+    # so does the batched SVD of the slice stack
+    with pytest.raises(NoConvergence):
+        analyze(GHZ)
+
+
+@pytest.mark.parametrize("state, refines", [
+    (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
+    (haar_state((32, 32, 32), seed=94), False),
+])
+def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
+    from trischmidt import bipartite
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("check must not decompose the slices one by one")
+
+    refined = []
+    refine = tripartite.refine_degenerate
+
+    def recorded(*args):
+        refined.append(refine(*args))
+        return refined[-1]
+
+    monkeypatch.setattr(bipartite, "schmidt_decompose", forbidden)
+    monkeypatch.setattr(tripartite, "schmidt_decompose", forbidden)
+    monkeypatch.setattr(linalg, "svd", forbidden)
+    monkeypatch.setattr(tripartite, "refine_degenerate", recorded)
+    verdict = check(state)
+    assert verdict.decomposable is refines
+    assert len(refined) == int(refines)
+    for analysis in (analyze(state), *refined):
+        r = analysis.pivot_basis.shape[1]
+        first, second = (state.dims[p] for p in analysis.remaining_parties)
+        assert isinstance(analysis.slices, np.ndarray)
+        assert analysis.slices.shape == (r, first, second)
+        expected = np.linalg.svd(analysis.slices, compute_uv=False)
+        assert np.max(np.abs(analysis.slice_values - expected)) <= 1e-14
+    if verdict.decomposable:
+        # each rank-one slice is its top singular value times its factor columns
+        final = verdict.analysis
+        rebuilt = np.einsum("i,ai,bi->iab", final.slice_values[:, 0],
+                            final.left_factors, final.right_factors)
+        assert np.max(np.abs(rebuilt - final.slices)) <= 1e-12
 
 
 def test_s_spectrum_matches_rho_b_when_shared_basis_exists():
