@@ -84,14 +84,24 @@ def as_complex_matrix(a) -> np.ndarray:
     return m
 
 
-def _phase_fix(v: np.ndarray) -> complex:
-    """Phase factor that makes v's largest-magnitude entry real positive."""
-    k = int(np.argmax(np.abs(v)))
-    a = complex(v[k])
-    r = abs(a)
-    if r == 0.0:
-        return 1.0 + 0.0j
-    return r / a
+def _column_phases(v: np.ndarray) -> np.ndarray:
+    """Per-column factors that make each column's largest-magnitude entry real positive.
+
+    Bit for bit Python's ``abs(a) / a`` on that entry: ``hypot``, then CPython's
+    Smith division by the larger of ``a.real`` and ``a.imag``, signed zeros included.
+    """
+    a = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    a[a == 0] = 1.0  # a zero column gets 1
+    by_real = np.abs(a.real) >= np.abs(a.imag)
+    p = np.where(by_real, a.real, a.imag)
+    q = np.where(by_real, a.imag, a.real)
+    ratio = q / p
+    denom = p + q * ratio
+    r = np.hypot(a.real, a.imag)
+    ph = np.empty_like(a)
+    ph.real = np.where(by_real, r, r * ratio + 0.0) / denom
+    ph.imag = np.where(by_real, 0.0 - r * ratio, -r) / denom
+    return ph
 
 
 def _lex_key(v: np.ndarray) -> tuple:
@@ -104,6 +114,8 @@ def _order_ties(values: np.ndarray, column_blocks: list[np.ndarray]) -> None:
     The primary block (first entry) supplies the lexicographic key;
     every block is permuted identically so pairings survive.
     """
+    if not np.any(values[1:] == values[:-1]):
+        return
     n = len(values)
     primary = column_blocks[0]
     start = 0
@@ -139,8 +151,7 @@ def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen
         raise NoConvergence(str(exc)) from exc
     w = np.ascontiguousarray(w[::-1])
     v = np.ascontiguousarray(v[:, ::-1])
-    for k in range(cols):
-        v[:, k] *= _phase_fix(v[:, k])
+    v *= _column_phases(v)
     _order_ties(w, [v])
     return HermitianEigenResult(eigenvalues=w, eigenvectors=v)
 
@@ -160,14 +171,10 @@ def svd(a, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     u = np.ascontiguousarray(u)
     v = np.ascontiguousarray(vh.conj().T)
     k = s.shape[0]
-    for i in range(k):
-        ph = _phase_fix(u[:, i])
-        u[:, i] *= ph
-        v[:, i] *= ph
-    for i in range(k, u.shape[1]):
-        u[:, i] *= _phase_fix(u[:, i])
-    for i in range(k, v.shape[1]):
-        v[:, i] *= _phase_fix(v[:, i])
+    ph = _column_phases(u)
+    u *= ph
+    v[:, :k] *= ph[:k]
+    v[:, k:] *= _column_phases(v[:, k:])
     _order_ties(s, [u, v])
     return SvdResult(singular_values=s, left_vectors=u, right_vectors=v)
 

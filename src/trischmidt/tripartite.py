@@ -10,9 +10,9 @@ vector and the slice factors form orthonormal families on both remaining
 parties; the weights ``d_i`` are the squared slice norms, which are the
 pivot eigenvalues.
 
-``analyze`` stacks the slices into one (r, d1, d2) array and takes one
-batched SVD of it: the singular values give each slice's rank and the
-verdict's residual, and the leading singular vectors are the factors.
+``analyze`` takes all slices as one product of the pivot basis with the
+state and their singular values in one batched call; power steps give the
+leading factors of the rank-one slices, the only factors ever read.
 
 Rank-one slices alone are *not* enough: a state such as
 ``a|000> + b|101>`` has product slices whose B-side factors coincide,
@@ -41,9 +41,11 @@ import numpy as np
 from . import linalg
 # Unused here, but kept importable by name: the benchmark tracer wraps it.
 from .bipartite import schmidt_decompose  # noqa: F401
-from .exceptions import DimensionMismatch, Indeterminate, NoConvergence, RankNotOne
+from .exceptions import DimensionMismatch, Indeterminate, NoConvergence, NotNormalized, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
-from .states import PureState, partial_inner_product, reduced_density, validate
+from .states import PureState, reduced_density, validate
+# Unused here, but kept importable by name: the benchmark tracer wraps it.
+from .states import partial_inner_product  # noqa: F401
 
 PARTY_NAMES = ("A", "B", "C")
 
@@ -54,15 +56,16 @@ _MIX_SEED = 0x5EED5
 
 @dataclass(frozen=True, eq=False)
 class SliceAnalysis:
-    """Eigenbasis slicing of a tripartite state and the SVD of its slices.
+    """Eigenbasis slicing of a tripartite state and the singular values of its slices.
 
     ``pivot_spectrum`` is the full descending spectrum of the pivot's
     reduced density matrix; slices are kept only for eigenvalues above
     the rank cutoff (``pivot_basis`` has one column per retained slice).
     ``slices`` stacks them (r x d1 x d2, over the two remaining parties);
     row i of ``slice_values`` (r x min(d1, d2)) holds slice i's descending
-    singular values and column i of ``left_factors`` (d1 x r) and
-    ``right_factors`` (d2 x r) its leading singular vectors.
+    singular values.  Column i of ``left_factors`` (d1 x r) and
+    ``right_factors`` (d2 x r) are its leading factors, found by power steps
+    and meaningful only when slice i has rank one.
     ``s_spectrum`` holds the per-mode sums of the slice Schmidt weights
     accumulated in a common slice basis; it is None when no common basis
     exists within tolerance; it is computed on first access, with ``tol``.
@@ -155,18 +158,25 @@ def degeneracy_groups(spectrum, tol: Tolerances = DEFAULT_TOL) -> list[list[int]
 
 
 def _slice_fields(slices: np.ndarray, tol: Tolerances) -> dict:
-    """The ``SliceAnalysis`` fields of a slice stack, from one batched SVD."""
+    """``SliceAnalysis`` fields of a slice stack: batched singular values, power-step factors."""
     try:
-        u, values, vh = np.linalg.svd(slices, full_matrices=False)
+        values = np.linalg.svd(slices, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     ranks = np.count_nonzero(values > tol.rank_rel * values[:, :1], axis=1)
+    # Power steps from each slice's largest row x, exact for rank one: X x, then vh, then u.
+    rows = np.argmax(np.linalg.norm(slices, axis=2), axis=1)
+    u = slices @ slices[np.arange(len(slices)), rows, :, None].conj()
+    vh = np.swapaxes(u.conj(), 1, 2) @ slices
+    vh /= np.linalg.norm(vh, axis=2, keepdims=True)
+    u = slices @ np.swapaxes(vh.conj(), 1, 2)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
     return dict(slices=slices, slice_values=values, left_factors=u[:, :, 0].T,
                 right_factors=vh[:, 0, :].T, slice_ranks=tuple(ranks.tolist()))
 
 
 def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> SliceAnalysis:
-    """Slice ``state`` along the pivot eigenbasis and take the slices' SVD.
+    """Slice ``state`` along the pivot eigenbasis and take the slices' singular values.
 
     ``pivot`` defaults to the smallest party of dimension >= 2 (ties go
     to A before B before C); passing it explicitly supports the
@@ -186,9 +196,10 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     spectrum = eig.eigenvalues
     retained = linalg.numerical_rank(np.maximum(spectrum, 0.0), tol)
     basis = np.ascontiguousarray(eig.eigenvectors[:, :retained])
-    slices = np.array(
-        [partial_inner_product(state, pivot, basis[:, i], tol) for i in range(retained)]
-    )
+    deviation = float(np.max(np.abs(np.linalg.norm(basis, axis=0) - 1.0)))
+    if deviation > tol.recon_abs:
+        raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
+    slices = np.tensordot(basis.conj(), state.tensor, axes=(0, pivot))
     return SliceAnalysis(
         dims=state.dims,
         pivot_party=pivot,
@@ -340,13 +351,10 @@ def construct(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> Tripart
     basis_a = np.ascontiguousarray(blocks[0][:, order])
     basis_b = np.ascontiguousarray(blocks[1][:, order])
     basis_c = np.ascontiguousarray(blocks[2][:, order])
-    for i in range(weights.size):
-        ph = linalg._phase_fix(basis_a[:, i])
-        basis_a[:, i] *= ph
-        basis_c[:, i] *= np.conj(ph)
-        ph = linalg._phase_fix(basis_b[:, i])
-        basis_b[:, i] *= ph
-        basis_c[:, i] *= np.conj(ph)
+    for basis in (basis_a, basis_b):
+        ph = linalg._column_phases(basis)
+        basis *= ph
+        basis_c *= np.conj(ph)
     return TripartiteSchmidt(weights=weights, basis_a=basis_a, basis_b=basis_b, basis_c=basis_c)
 
 

@@ -163,3 +163,60 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(degen_rel=1.5)
     assert 0 < DEFAULT_TOL.rank_rel < 1
+
+
+def _scalar_phase(v):
+    # the scalar rule the column-wise helper must reproduce bit for bit
+    a = complex(v[int(np.argmax(np.abs(v)))])
+    return 1.0 + 0.0j if abs(a) == 0.0 else abs(a) / a
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_column_phases_match_scalar_rule_bit_for_bit():
+    from trischmidt.linalg import _column_phases
+
+    rng = np.random.default_rng(43)
+    columns = random_complex((7, 2000), rng) * 10.0 ** rng.integers(-300, 300, size=2000)
+    edges = np.array([
+        [0, 2, -2, 2j, -2j, 1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 1, 1j, 0.6 + 0.8j,
+         complex(-3.0, -0.0), complex(0.0, -3.0), complex(-0.0, 3.0)],
+        [0, 0.5, 1j, -1, 0, 0, 0, 0, 0, 1j, -1, 0.8 - 0.6j, 1, 1, -2],
+    ])
+    for v in (columns, edges):
+        expected = np.array([_scalar_phase(v[:, k]) for k in range(v.shape[1])])
+        assert np.array_equal(_bits(_column_phases(v)), _bits(expected))
+    # equal magnitudes in rows 0 and 1: the lowest index wins
+    assert _column_phases(edges)[9] == 1.0
+    assert _column_phases(edges)[10] == -1j
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_eigendecompose_phases_match_scalar_loop(n):
+    rng = np.random.default_rng(44 + n)
+    h = random_hermitian(n, rng)
+    _, v = np.linalg.eigh(h)
+    v = np.ascontiguousarray(v[:, ::-1])
+    for k in range(n):
+        v[:, k] *= _scalar_phase(v[:, k])
+    assert np.array_equal(_bits(hermitian_eigendecompose(h).eigenvectors), _bits(v))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 2)])
+def test_svd_phases_match_scalar_loop(shape):
+    rng = np.random.default_rng(45)
+    a = random_complex(shape, rng)
+    u, s, vh = np.linalg.svd(a)
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(vh.conj().T)
+    for i in range(u.shape[1]):
+        ph = _scalar_phase(u[:, i])
+        u[:, i] *= ph
+        if i < s.size:
+            v[:, i] *= ph
+    for i in range(s.size, v.shape[1]):
+        v[:, i] *= _scalar_phase(v[:, i])
+    res = svd(a)
+    assert np.array_equal(_bits(res.left_vectors), _bits(u))
+    assert np.array_equal(_bits(res.right_vectors), _bits(v))

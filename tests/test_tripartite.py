@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from trischmidt import (
     DimensionMismatch,
     Indeterminate,
     NoConvergence,
+    NotNormalized,
     PureState,
     RankNotOne,
     Tolerances,
@@ -20,6 +22,7 @@ from trischmidt import (
     haar_state,
     haar_unitary,
     overlap,
+    partial_inner_product,
     product_state,
     reconstruct_tripartite,
     reduced_density,
@@ -306,15 +309,33 @@ def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
         analyze(GHZ)
 
 
+def _assert_leading_factors(analysis):
+    # the factor columns of every rank-one slice are its leading singular
+    # vectors up to one phase, and rebuild the slice with its top value up
+    # to its second one
+    u, _, vh = np.linalg.svd(analysis.slices)
+    for i, rank in enumerate(analysis.slice_ranks):
+        if rank != 1:
+            continue
+        left, right = analysis.left_factors[:, i], analysis.right_factors[:, i]
+        phase = np.vdot(u[i, :, 0], left)
+        assert abs(abs(phase) - 1.0) <= 1e-12
+        assert np.max(np.abs(left - phase * u[i, :, 0])) <= 1e-12
+        assert np.max(np.abs(right - vh[i, 0] / phase)) <= 1e-12
+        rebuilt = analysis.slice_values[i, 0] * np.outer(left, right)
+        second = analysis.slice_values[i, 1] if analysis.slice_values.shape[1] > 1 else 0.0
+        assert np.max(np.abs(rebuilt - analysis.slices[i])) <= second + 1e-12
+
+
 @pytest.mark.parametrize("state, refines", [
     (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
     (haar_state((32, 32, 32), seed=94), False),
 ])
 def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
-    from trischmidt import bipartite
+    from trischmidt import bipartite, states
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("check must not decompose the slices one by one")
+        raise AssertionError("check must not decompose or contract the slices one by one")
 
     refined = []
     refine = tripartite.refine_degenerate
@@ -323,13 +344,28 @@ def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
         refined.append(refine(*args))
         return refined[-1]
 
+    svd_calls = []
+    numpy_svd = np.linalg.svd
+
+    def recorded_svd(a, *args, **kwargs):
+        compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
+        svd_calls.append((np.ndim(a), compute_uv))
+        return numpy_svd(a, *args, **kwargs)
+
     monkeypatch.setattr(bipartite, "schmidt_decompose", forbidden)
     monkeypatch.setattr(tripartite, "schmidt_decompose", forbidden)
+    monkeypatch.setattr(states, "partial_inner_product", forbidden)
+    monkeypatch.setattr(tripartite, "partial_inner_product", forbidden)
     monkeypatch.setattr(linalg, "svd", forbidden)
     monkeypatch.setattr(tripartite, "refine_degenerate", recorded)
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     verdict = check(state)
+    monkeypatch.undo()
     assert verdict.decomposable is refines
     assert len(refined) == int(refines)
+    # the slice stacks get singular values only, one batched call each
+    assert svd_calls.count((3, False)) == 1 + len(refined)
+    assert (3, True) not in svd_calls
     for analysis in (analyze(state), *refined):
         r = analysis.pivot_basis.shape[1]
         first, second = (state.dims[p] for p in analysis.remaining_parties)
@@ -337,12 +373,49 @@ def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
         assert analysis.slices.shape == (r, first, second)
         expected = np.linalg.svd(analysis.slices, compute_uv=False)
         assert np.max(np.abs(analysis.slice_values - expected)) <= 1e-14
+        _assert_leading_factors(analysis)
     if verdict.decomposable:
-        # each rank-one slice is its top singular value times its factor columns
-        final = verdict.analysis
-        rebuilt = np.einsum("i,ai,bi->iab", final.slice_values[:, 0],
-                            final.left_factors, final.right_factors)
-        assert np.max(np.abs(rebuilt - final.slices)) <= 1e-12
+        assert set(verdict.analysis.slice_ranks) == {1}
+
+
+def test_power_step_factors_of_nearly_rank_one_slices():
+    # rank-one slices, and slices whose second singular value is 1e-11 of
+    # the first, which still count as rank one under rank_rel = 1e-10
+    rng = np.random.default_rng(95)
+    stack = []
+    for second in (0.0, 0.0, 1e-11, 1e-11, 1e-11):
+        a, b = haar_unitary(5, rng), haar_unitary(6, rng)
+        top, below = np.outer(a[:, 0], b[0]), np.outer(a[:, 1], b[1])
+        stack.append(rng.uniform(0.1, 1.0) * (top + second * below))
+    analysis = SimpleNamespace(**tripartite._slice_fields(np.array(stack), Tolerances()))
+    assert analysis.slice_ranks == (1,) * 5
+    assert np.all(analysis.slice_values[2:, 1] > 0.0)
+    _assert_leading_factors(analysis)
+
+
+@pytest.mark.parametrize("dims", [(3, 4, 5), (1, 3, 4), (3, 1, 4)])
+def test_analyze_slices_are_the_partial_inner_products(dims):
+    # reference: one partial_inner_product per pivot basis vector
+    state = haar_state(dims, seed=96)
+    for pivot in range(3):
+        analysis = analyze(state, pivot=pivot)
+        basis = analysis.pivot_basis
+        expected = np.array([partial_inner_product(state, pivot, basis[:, i])
+                             for i in range(basis.shape[1])])
+        assert analysis.slices.shape == expected.shape
+        assert np.max(np.abs(analysis.slices - expected)) <= 1e-14
+
+
+def test_analyze_rejects_a_pivot_basis_that_is_not_unit_norm(monkeypatch):
+    eigendecompose = linalg.hermitian_eigendecompose
+
+    def scaled(*args):
+        eig = eigendecompose(*args)
+        return linalg.HermitianEigenResult(eig.eigenvalues, 1.1 * eig.eigenvectors)
+
+    monkeypatch.setattr(linalg, "hermitian_eigendecompose", scaled)
+    with pytest.raises(NotNormalized):
+        analyze(haar_state((3, 4, 5), seed=97))
 
 
 def test_s_spectrum_matches_rho_b_when_shared_basis_exists():
