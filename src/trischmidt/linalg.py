@@ -145,15 +145,22 @@ def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen
         raise NotHermitian(
             f"max |A - A^H| = {deviation:.3e} exceeds recon_abs = {tol.recon_abs:.3e}"
         )
+    return HermitianEigenResult(*_eigh_canonical((m + m.conj().T) / 2.0, tol))
+
+
+def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of an exactly Hermitian matrix, unchecked, in the module's conventions."""
     try:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     w = np.ascontiguousarray(w[::-1])
-    v = np.ascontiguousarray(v[:, ::-1])
+    # ``retained`` keeps the eigenvectors above the rank cutoff, which no exact tie straddles
+    kept = numerical_rank(np.maximum(w, 0.0), tol) if retained else len(w)
+    v = np.ascontiguousarray(v[:, ::-1][:, :kept])
     v *= _column_phases(v)
-    _order_ties(w, [v])
-    return HermitianEigenResult(eigenvalues=w, eigenvectors=v)
+    _order_ties(w[:kept], [v])
+    return w, v
 
 
 def svd(a, tol: Tolerances = DEFAULT_TOL) -> SvdResult:

@@ -71,9 +71,9 @@ def validate(state: PureState, tol: Tolerances = DEFAULT_TOL) -> PureState:
         raise DimensionMismatch(
             f"dims {state.dims} require {expected} amplitudes, got {state.amplitudes.size}"
         )
-    if not np.isfinite(state.amplitudes).all():
+    deviation = abs(float(np.vdot(state.amplitudes, state.amplitudes).real) - 1.0)
+    if not math.isfinite(deviation) and not np.isfinite(state.amplitudes).all():
         raise NotNormalized("amplitudes contain non-finite entries")
-    deviation = abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
     if deviation > tol.recon_abs:
         raise NotNormalized(f"sum of |amplitude|^2 deviates from 1 by {deviation:.3e}")
     return state

@@ -10,9 +10,10 @@ vector and the slice factors form orthonormal families on both remaining
 parties; the weights ``d_i`` are the squared slice norms, which are the
 pivot eigenvalues.
 
-``analyze`` takes all slices as one product of the pivot basis with the
-state and their singular values in one batched call; power steps give the
-leading factors of the rank-one slices, the only factors ever read.
+``analyze`` eigendecomposes the pivot's reduced density matrix, Hermitian by
+construction, without re-checking it, and canonicalizes only the kept
+eigenvectors.  One product gives all slices, one batched call their singular
+values; power steps give the leading factors of the slices on first access.
 
 Rank-one slices alone are *not* enough: a state such as
 ``a|000> + b|101>`` has product slices whose B-side factors coincide,
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,10 +50,6 @@ from .states import partial_inner_product  # noqa: F401
 
 PARTY_NAMES = ("A", "B", "C")
 
-# Fixed seed of the generic mixing coefficients in ``_shared_factors``.  They
-# only need to be "generic"; fixing them keeps every run reproducible.
-_MIX_SEED = 0x5EED5
-
 
 @dataclass(frozen=True, eq=False)
 class SliceAnalysis:
@@ -65,7 +62,7 @@ class SliceAnalysis:
     row i of ``slice_values`` (r x min(d1, d2)) holds slice i's descending
     singular values.  Column i of ``left_factors`` (d1 x r) and
     ``right_factors`` (d2 x r) are its leading factors, found by power steps
-    and meaningful only when slice i has rank one.
+    on first access and meaningful only when slice i has rank one.
     ``s_spectrum`` holds the per-mode sums of the slice Schmidt weights
     accumulated in a common slice basis; it is None when no common basis
     exists within tolerance; it is computed on first access, with ``tol``.
@@ -77,8 +74,6 @@ class SliceAnalysis:
     pivot_spectrum: np.ndarray
     slices: np.ndarray
     slice_values: np.ndarray
-    left_factors: np.ndarray
-    right_factors: np.ndarray
     slice_ranks: tuple[int, ...]
     tol: Tolerances
     not_refinable: bool = False
@@ -86,6 +81,10 @@ class SliceAnalysis:
     @cached_property
     def s_spectrum(self) -> np.ndarray | None:
         return _shared_basis_spectrum(self.slices, self.tol)
+
+    _factors = cached_property(lambda self: _power_step_factors(self.slices))
+    left_factors = property(lambda self: self._factors[0])
+    right_factors = property(lambda self: self._factors[1])
 
     @property
     def remaining_parties(self) -> tuple[int, int]:
@@ -158,21 +157,24 @@ def degeneracy_groups(spectrum, tol: Tolerances = DEFAULT_TOL) -> list[list[int]
 
 
 def _slice_fields(slices: np.ndarray, tol: Tolerances) -> dict:
-    """``SliceAnalysis`` fields of a slice stack: batched singular values, power-step factors."""
+    """``SliceAnalysis`` fields of a slice stack: its batched singular values and ranks."""
     try:
         values = np.linalg.svd(slices, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     ranks = np.count_nonzero(values > tol.rank_rel * values[:, :1], axis=1)
-    # Power steps from each slice's largest row x, exact for rank one: X x, then vh, then u.
+    return dict(slices=slices, slice_values=values, slice_ranks=tuple(ranks.tolist()))
+
+
+def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Leading factors of each slice by power steps from its largest row; exact for rank one."""
     rows = np.argmax(np.linalg.norm(slices, axis=2), axis=1)
     u = slices @ slices[np.arange(len(slices)), rows, :, None].conj()
     vh = np.swapaxes(u.conj(), 1, 2) @ slices
     vh /= np.linalg.norm(vh, axis=2, keepdims=True)
     u = slices @ np.swapaxes(vh.conj(), 1, 2)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return dict(slices=slices, slice_values=values, left_factors=u[:, :, 0].T,
-                right_factors=vh[:, 0, :].T, slice_ranks=tuple(ranks.tolist()))
+    return u[:, :, 0].T, vh[:, 0, :].T
 
 
 def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> SliceAnalysis:
@@ -185,21 +187,18 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     validate(state, tol)
     if state.n_parties != 3:
         raise DimensionMismatch("analysis is defined for tripartite states")
-    if pivot is None:
-        pivot = _pivot_party(state.dims)
-    else:
-        pivot = int(pivot)
-        if not 0 <= pivot < 3:
-            raise DimensionMismatch(f"pivot must be 0, 1 or 2, got {pivot}")
-    rho = reduced_density(state, (pivot,), tol)
-    eig = linalg.hermitian_eigendecompose(rho.matrix, tol)
-    spectrum = eig.eigenvalues
-    retained = linalg.numerical_rank(np.maximum(spectrum, 0.0), tol)
-    basis = np.ascontiguousarray(eig.eigenvectors[:, :retained])
+    pivot = _pivot_party(state.dims) if pivot is None else int(pivot)
+    if not 0 <= pivot < 3:
+        raise DimensionMismatch(f"pivot must be 0, 1 or 2, got {pivot}")
+    # rho is exactly Hermitian by construction, so it is not checked again
+    spectrum, basis = linalg._eigh_canonical(reduced_density(state, (pivot,), tol).matrix, tol,
+                                             retained=True)
     deviation = float(np.max(np.abs(np.linalg.norm(basis, axis=0) - 1.0)))
     if deviation > tol.recon_abs:
         raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
-    slices = np.tensordot(basis.conj(), state.tensor, axes=(0, pivot))
+    moved = state.tensor.transpose(pivot, *(i for i in range(3) if i != pivot))
+    slices = np.dot(basis.conj().T.copy(), moved.reshape(len(moved), -1))
+    slices = slices.reshape(-1, *moved.shape[1:])
     return SliceAnalysis(
         dims=state.dims,
         pivot_party=pivot,
@@ -222,9 +221,7 @@ def _shared_factors(slices, tol: Tolerances):
     hold all the slices' mass.  ``diag[i]`` is the diagonal of slice i.
     """
     stack = np.asarray(slices)
-    rng = np.random.default_rng(_MIX_SEED)
-    mix = rng.standard_normal(len(stack)) + 1j * rng.standard_normal(len(stack))
-    u, s, vh = np.linalg.svd(np.tensordot(mix, stack, axes=1), full_matrices=False)
+    u, s, vh = np.linalg.svd(np.tensordot(_mix(len(stack)), stack, axes=1), full_matrices=False)
     k = linalg.numerical_rank(s, tol)
     y, z = u[:, :k], vh[:k].conj().T
     d = y.conj().T @ stack @ z
@@ -236,6 +233,15 @@ def _shared_factors(slices, tol: Tolerances):
     if abs(mass) > math.sqrt(tol.recon_abs):  # mass escaped the retained modes
         return None
     return y, z, diag
+
+
+@lru_cache(maxsize=64)
+def _mix(n: int) -> np.ndarray:
+    """Generic mixing coefficients of ``_shared_factors``, read-only; fixed so runs reproduce."""
+    re, im = np.random.default_rng(0x5EED5).standard_normal((2, n))
+    mix = re + 1j * im
+    mix.setflags(write=False)
+    return mix
 
 
 def _shared_basis_spectrum(slices, tol: Tolerances) -> np.ndarray | None:

@@ -141,6 +141,14 @@ def test_check_truncated_file_is_data_error(tmp_path, capsys):
     assert code == EXIT_DATA
     assert "amplitudes must be [re, im] pairs" in err
     assert out == ""
+    # json.loads accepts the literal NaN; validation must still refuse it
+    path = tmp_path / "nan.json"
+    path.write_text('{"dims": [1, 1, 2], "amplitudes": [[NaN, 0.0], [1.0, 0.0]]}',
+                    encoding="utf-8")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == EXIT_DATA
+    assert "NotNormalized: amplitudes contain non-finite entries" in err
+    assert out == ""
 
 
 def test_check_invalid_json_is_data_error(tmp_path, capsys):

@@ -63,6 +63,21 @@ def test_validate_rejects_zero_state():
         validate(PureState((2, 2, 2), np.zeros(8)))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(0.5, -np.inf)])
+def test_validate_rejects_non_finite_amplitudes(entry):
+    amplitudes = np.full(8, np.sqrt(1 / 8), dtype=complex)
+    amplitudes[5] = entry
+    with pytest.raises(NotNormalized, match="non-finite entries"):
+        validate(PureState((2, 2, 2), amplitudes))
+
+
+def test_validate_reports_a_finite_entry_too_large_to_square_as_a_deviation():
+    amplitudes = np.zeros(8, dtype=complex)
+    amplitudes[0] = 1e200
+    with pytest.raises(NotNormalized, match="deviates from 1 by inf"):
+        validate(PureState((2, 2, 2), amplitudes))
+
+
 def test_validate_rejects_wrong_party_count():
     with pytest.raises(DimensionMismatch):
         validate(PureState((8,), np.ones(8) / np.sqrt(8)))

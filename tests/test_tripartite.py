@@ -387,7 +387,10 @@ def test_power_step_factors_of_nearly_rank_one_slices():
         a, b = haar_unitary(5, rng), haar_unitary(6, rng)
         top, below = np.outer(a[:, 0], b[0]), np.outer(a[:, 1], b[1])
         stack.append(rng.uniform(0.1, 1.0) * (top + second * below))
-    analysis = SimpleNamespace(**tripartite._slice_fields(np.array(stack), Tolerances()))
+    stack = np.array(stack)
+    left, right = tripartite._power_step_factors(stack)
+    analysis = SimpleNamespace(**tripartite._slice_fields(stack, Tolerances()),
+                               left_factors=left, right_factors=right)
     assert analysis.slice_ranks == (1,) * 5
     assert np.all(analysis.slice_values[2:, 1] > 0.0)
     _assert_leading_factors(analysis)
@@ -407,13 +410,13 @@ def test_analyze_slices_are_the_partial_inner_products(dims):
 
 
 def test_analyze_rejects_a_pivot_basis_that_is_not_unit_norm(monkeypatch):
-    eigendecompose = linalg.hermitian_eigendecompose
+    eigendecompose = linalg._eigh_canonical
 
-    def scaled(*args):
-        eig = eigendecompose(*args)
-        return linalg.HermitianEigenResult(eig.eigenvalues, 1.1 * eig.eigenvectors)
+    def scaled(*args, **kwargs):
+        values, vectors = eigendecompose(*args, **kwargs)
+        return values, 1.1 * vectors
 
-    monkeypatch.setattr(linalg, "hermitian_eigendecompose", scaled)
+    monkeypatch.setattr(linalg, "_eigh_canonical", scaled)
     with pytest.raises(NotNormalized):
         analyze(haar_state((3, 4, 5), seed=97))
 
@@ -452,6 +455,68 @@ def test_s_spectrum_is_computed_once_and_only_on_access(monkeypatch):
     assert calls == []
     assert analysis.s_spectrum is analysis.s_spectrum
     assert len(calls) == 1
+
+
+def test_power_step_factors_are_computed_once_and_only_when_read(monkeypatch):
+    calls = []
+    power_steps = tripartite._power_step_factors
+
+    def counted(slices):
+        calls.append(len(slices))
+        return power_steps(slices)
+
+    monkeypatch.setattr(tripartite, "_power_step_factors", counted)
+    # Haar slices have full rank: the rejection reads no factor
+    assert not check(haar_state((16, 16, 16), seed=98)).decomposable
+    assert calls == []
+    # an accepted distinct-weight state: once for the factor check and construct
+    weights = [0.3, 0.2, 0.15, 0.12, 0.1, 0.07, 0.04, 0.02]
+    verdict = check(schmidt_state((8, 8, 8), weights, seed=99))
+    assert verdict.decomposable and not verdict.degenerate
+    assert calls == [8]
+    # refine_degenerate's replace() starts the refined analysis with an empty cache
+    calls.clear()
+    state = schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92)
+    analysis = analyze(state)
+    unrotated = analysis.left_factors
+    refined = refine_degenerate(analysis)
+    assert refined is not analysis and calls == [6]
+    assert refined.right_factors is refined.right_factors
+    assert calls == [6, 6]
+    assert not np.array_equal(refined.left_factors, unrotated)
+    _assert_leading_factors(refined)
+    calls.clear()
+    verdict = check(state)
+    assert verdict.decomposable and verdict.degenerate
+    assert calls == [6]
+
+
+def test_mixing_coefficients_are_drawn_once_per_slice_count():
+    for n in (1, 2, 5, 12):
+        rng = np.random.default_rng(0x5EED5)
+        expected = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        mix = tripartite._mix(n)
+        assert np.array_equal(mix.view(np.uint64), expected.view(np.uint64))
+        assert tripartite._mix(n) is mix
+        assert not mix.flags.writeable
+
+
+@pytest.mark.parametrize("state", [
+    ghz_state((3, 3, 3)),  # exact ties among the kept eigenvalues
+    w_state((3, 3, 3)),
+    product_state((3, 4, 5)),  # exact zero ties beyond the rank cutoff
+    haar_state((3, 4, 5), seed=103),
+    haar_state((1, 3, 4), seed=104),
+], ids=["ghz-3x3x3", "w-3x3x3", "product-3x4x5", "haar-3x4x5", "haar-1x3x4"])
+def test_analyze_eigenbasis_is_the_checked_eigendecomposition_bit_for_bit(state):
+    # analyze skips the Hermitian checks and canonicalizes only the kept columns
+    for pivot in range(3):
+        analysis = analyze(state, pivot=pivot)
+        eig = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)).matrix)
+        r = analysis.pivot_basis.shape[1]
+        assert r == linalg.numerical_rank(np.maximum(eig.eigenvalues, 0.0))
+        assert np.array_equal(analysis.pivot_basis, eig.eigenvectors[:, :r])
+        assert np.array_equal(analysis.pivot_spectrum, eig.eigenvalues)
 
 
 def test_low_rank_pivot_excludes_zero_slices():

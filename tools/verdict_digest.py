@@ -8,20 +8,24 @@ The first form runs ``tripartite.check`` on every input of ``decide-generic``
 and ``decide-degenerate`` (built by ``bench/cases.py``, which is only
 imported) for each seed and each pivot (default, 0, 1, 2), and writes one
 JSON record per check: the verdict, the ``degenerate`` flag, the exception
-type, ``slice_ranks``, ``repr(max_residual)`` and the weights.  Seeds 1-8
-give 5248 records.  ``--src`` picks the trischmidt sources to digest, so two
-versions of the program can be compared on the same inputs.  One BLAS thread
-is pinned, as in the benchmark, because the last bits depend on it.
+type, ``slice_ranks``, ``repr(max_residual)``, the weights, and SHA-256
+digests of the bytes of the verdict's analysis' ``pivot_basis`` and
+``slice_values``, so that a change can show that it keeps the eigenbasis
+bit for bit.  Seeds 1-8 give 5248 records.  ``--src`` picks the trischmidt
+sources to digest, so two versions of the program can be compared on the
+same inputs.  One BLAS thread is pinned, as in the benchmark, because the
+last bits depend on it.
 
-``--compare A B`` prints every record whose verdict, flag, exception type
-or slice ranks differ, and the largest deviation and count of changed
-values of the weights and of ``max_residual``.  It exits with 1 when some
-record differs.
+``--compare A B`` prints every record whose verdict, flag, exception type,
+slice ranks or basis and value digests differ, and the largest deviation
+and count of changed values of the weights and of ``max_residual``.  It
+exits with 1 when some record differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -30,7 +34,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-generic", "decide-degenerate")
 PIVOTS = (None, 0, 1, 2)
-EXACT = ("label", "decomposable", "degenerate", "error", "slice_ranks")
+EXACT = ("label", "decomposable", "degenerate", "error", "slice_ranks", "basis_sha256",
+         "values_sha256")
+
+
+def _hashes(analysis) -> dict:
+    """SHA-256 of the bytes of the eigenbasis and the slice singular values."""
+    if analysis is None:
+        return dict(basis_sha256=None, values_sha256=None)
+    return {f"{name}_sha256": hashlib.sha256(array.tobytes()).hexdigest()
+            for name, array in (("basis", analysis.pivot_basis),
+                                ("values", analysis.slice_values))}
 
 
 def _record(tripartite, errors, state, pivot) -> dict:
@@ -39,14 +53,16 @@ def _record(tripartite, errors, state, pivot) -> dict:
     except errors.Indeterminate as exc:
         ranks = list(exc.analysis.slice_ranks) if exc.analysis else None
         return dict(decomposable=None, degenerate=True, error="Indeterminate",
-                    slice_ranks=ranks, max_residual=repr(exc.max_residual), weights=None)
+                    slice_ranks=ranks, max_residual=repr(exc.max_residual), weights=None,
+                    **_hashes(exc.analysis))
     except errors.TrischmidtError as exc:
         return dict(decomposable=None, degenerate=None, error=type(exc).__name__,
-                    slice_ranks=None, max_residual=None, weights=None)
+                    slice_ranks=None, max_residual=None, weights=None, **_hashes(None))
     weights = verdict.decomposition.weights.tolist() if verdict.decomposable else None
     return dict(decomposable=verdict.decomposable, degenerate=verdict.degenerate, error=None,
                 slice_ranks=list(verdict.analysis.slice_ranks),
-                max_residual=repr(verdict.max_residual), weights=weights)
+                max_residual=repr(verdict.max_residual), weights=weights,
+                **_hashes(verdict.analysis))
 
 
 def digest(src: Path, seeds, out) -> int:
@@ -77,7 +93,7 @@ def _load(path) -> dict:
 
 def _differs(ra: dict, rb: dict) -> bool:
     """Whether two records differ in anything but the last digits of their numbers."""
-    return (any(ra[f] != rb[f] for f in EXACT)
+    return (any(ra.get(f) != rb.get(f) for f in EXACT)
             or (ra["max_residual"] is None) != (rb["max_residual"] is None)
             or (ra["weights"] is None) != (rb["weights"] is None)
             or len(ra["weights"] or ()) != len(rb["weights"] or ()))
