@@ -52,11 +52,10 @@ def schmidt_decompose(v, tol: Tolerances = DEFAULT_TOL) -> BipartiteSchmidt:
     """
     m = _as_state_matrix(v)
     res = linalg.svd(m, tol)
-    k = min(m.shape)
     return BipartiteSchmidt(
         coefficients=res.singular_values,
-        left_basis=np.ascontiguousarray(res.left_vectors[:, :k]),
-        right_basis=np.ascontiguousarray(res.right_vectors[:, :k].conj()),
+        left_basis=res.left_vectors,
+        right_basis=res.right_vectors.conj(),
         input_norm=float(np.linalg.norm(m)),
     )
 

@@ -4,6 +4,7 @@ Matrices are plain numpy arrays with ``complex128`` entries.  The kernels
 wrap LAPACK (via ``numpy.linalg``) and then impose the package-wide
 conventions on the result:
 
+* thin SVDs: min(m, n) paired columns, never an m x m or n x n basis;
 * eigenvalues and singular values sorted descending;
 * every returned vector rotated so its largest-magnitude entry is real
   and positive (magnitude ties broken by lowest index);
@@ -63,10 +64,10 @@ class HermitianEigenResult:
 
 @dataclass(frozen=True, eq=False)
 class SvdResult:
-    """Full singular value decomposition ``A = U diag(s) V^H``.
+    """Thin singular value decomposition ``A = U diag(s) V^H``, ``k = min(m, n)``.
 
-    ``left_vectors`` (m x m) and ``right_vectors`` (n x n) are unitary;
-    ``singular_values`` has length min(m, n), sorted descending.
+    ``left_vectors`` (m x k) and ``right_vectors`` (n x k) have orthonormal
+    columns; ``singular_values`` has length k, sorted descending.
     """
 
     singular_values: np.ndarray
@@ -164,24 +165,21 @@ def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndar
 
 
 def svd(a, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
-    """Full SVD with canonical phases and deterministic tie order.
+    """Thin SVD with canonical phases and deterministic tie order.
 
     Paired left/right columns are rotated by a common phase so each left
-    vector has its largest-magnitude entry real positive; the unpaired
-    padding columns are phase-fixed on their own.
+    vector has its largest-magnitude entry real positive.
     """
     m = as_complex_matrix(a)
     try:
-        u, s, vh = np.linalg.svd(m, full_matrices=True)
+        u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     u = np.ascontiguousarray(u)
     v = np.ascontiguousarray(vh.conj().T)
-    k = s.shape[0]
     ph = _column_phases(u)
     u *= ph
-    v[:, :k] *= ph[:k]
-    v[:, k:] *= _column_phases(v[:, k:])
+    v *= ph
     _order_ties(s, [u, v])
     return SvdResult(singular_values=s, left_vectors=u, right_vectors=v)
 

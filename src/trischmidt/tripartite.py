@@ -393,9 +393,12 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
     the degenerate case a rejection needs either a forced rank defect
     outside the degenerate blocks, an in-block contradiction, or
     clearly unequal single-party spectra.  Anything else raises
-    :class:`Indeterminate`.
+    :class:`Indeterminate`.  A pivot ``_pivot_party`` never picks (dimension
+    1 beside a larger party) raises :class:`DimensionMismatch`.
     """
     analysis = analyze(state, tol, pivot=pivot)
+    if state.dims[analysis.pivot_party] == 1 < max(state.dims):
+        raise DimensionMismatch(f"pivot {PARTY_NAMES[analysis.pivot_party]} has dimension 1")
     groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
     degenerate = any(len(g) > 1 for g in groups)
 

@@ -165,10 +165,8 @@ def test_bipartite_engine():
         k = sd.coefficients.size
         assert np.max(np.abs(sd.coefficients**2 - eig.eigenvalues[:k])) <= 1e-10, trial
         res = svd(v)
-        m, n = dims
-        sigma = np.zeros((m, n))
-        np.fill_diagonal(sigma, res.singular_values)
-        assert np.max(np.abs(res.left_vectors @ sigma @ res.right_vectors.conj().T - v)) <= 1e-10
+        rebuilt = (res.left_vectors * res.singular_values) @ res.right_vectors.conj().T
+        assert np.max(np.abs(rebuilt - v)) <= 1e-10
         rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
         assert np.max(np.abs(rebuilt - rho_a)) <= 1e-10
     bell = np.array([[1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2)

@@ -590,6 +590,21 @@ def test_entangled_state_with_trivial_party_is_fine_everywhere():
     assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-12
 
 
+@pytest.mark.parametrize("trivial", [0, 1, 2])
+def test_check_refuses_an_explicit_trivial_pivot(trivial):
+    # a dimension-1 pivot has one slice, the whole state: it would demand global rank one
+    dims = tuple(1 if p == trivial else 2 for p in range(3))
+    state = PureState(dims, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
+    with pytest.raises(DimensionMismatch, match=f"pivot {'ABC'[trivial]} has dimension 1"):
+        check(state, pivot=trivial)
+    for pivot in (None, *(p for p in range(3) if p != trivial)):
+        verdict = check(state, pivot=pivot)
+        assert verdict.decomposable
+        assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-12
+    # with every party trivial there is nothing larger, and pivot 0 is the default
+    assert check(PureState((1, 1, 1), np.array([1.0])), pivot=0).decomposable
+
+
 def test_check_all_pivots_agree_on_equal_dims():
     state = schmidt_state((3, 3, 3), [0.5, 0.3, 0.2], seed=61)
     for pivot in range(3):
