@@ -11,9 +11,7 @@ from .bipartite import (
     entanglement_entropy,
     entropy_bits,
     schmidt_decompose,
-    schmidt_rank,
 )
-from .bipartite import reconstruct as reconstruct_bipartite
 from .exceptions import (
     BadDims,
     BadWeights,
@@ -22,7 +20,6 @@ from .exceptions import (
     NoConvergence,
     NotHermitian,
     NotNormalized,
-    NotUnitaryError,
     RankNotOne,
     TrischmidtError,
     ZeroVector,
@@ -34,14 +31,12 @@ from .linalg import (
     SvdResult,
     Tolerances,
     hermitian_eigendecompose,
-    is_unitary,
     numerical_rank,
     svd,
 )
 from .states import (
     DensityMatrix,
     PureState,
-    apply_local_unitary,
     overlap,
     partial_inner_product,
     reduced_density,
@@ -55,8 +50,6 @@ from .tripartite import (
     analyze,
     check,
     construct,
-    degeneracy_groups,
-    refine_degenerate,
     spectrum_report,
 )
 from .tripartite import reconstruct as reconstruct_tripartite
@@ -75,7 +68,6 @@ __all__ = [
     "NoConvergence",
     "NotHermitian",
     "NotNormalized",
-    "NotUnitaryError",
     "PureState",
     "RankNotOne",
     "SliceAnalysis",
@@ -87,27 +79,21 @@ __all__ = [
     "Verdict",
     "ZeroVector",
     "analyze",
-    "apply_local_unitary",
     "check",
     "construct",
-    "degeneracy_groups",
     "entanglement_entropy",
     "entropy_bits",
     "ghz_state",
     "haar_state",
     "haar_unitary",
     "hermitian_eigendecompose",
-    "is_unitary",
     "numerical_rank",
     "overlap",
     "partial_inner_product",
     "product_state",
-    "reconstruct_bipartite",
     "reconstruct_tripartite",
     "reduced_density",
-    "refine_degenerate",
     "schmidt_decompose",
-    "schmidt_rank",
     "schmidt_state",
     "spectrum_report",
     "svd",

@@ -1,4 +1,4 @@
-"""Bipartite Schmidt decomposition, Schmidt rank, and entanglement entropy.
+"""Bipartite Schmidt decomposition and entanglement entropy.
 
 A bipartite state is handled as its amplitude matrix ``v[j, k]``; the
 decomposition ``v = sum_i c_i  left_i (x) right_i`` is the SVD written in
@@ -58,17 +58,6 @@ def schmidt_decompose(v, tol: Tolerances = DEFAULT_TOL) -> BipartiteSchmidt:
         right_basis=res.right_vectors.conj(),
         input_norm=float(np.linalg.norm(m)),
     )
-
-
-def schmidt_rank(v, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of Schmidt coefficients above the relative rank cutoff."""
-    m = _as_state_matrix(v)
-    return linalg.numerical_rank(linalg.svd(m, tol).singular_values, tol)
-
-
-def reconstruct(sd: BipartiteSchmidt) -> np.ndarray:
-    """Rebuild the amplitude matrix ``sum_i c_i left_i right_i^T``."""
-    return (sd.left_basis * sd.coefficients) @ sd.right_basis.T
 
 
 def entropy_bits(probabilities, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -7,7 +7,9 @@ significant digits so a report round-trips doubles losslessly.
 
 Commands, each with the options it reads::
 
-    trischmidt gen {ghz,w,product,schmidt,haar} --dims 2,2,2 [--weights ..] [--seed N] [-o FILE]
+    trischmidt gen {ghz,w,product} --dims 2,2,2 [-o FILE]
+    trischmidt gen schmidt --dims 2,2,2 --weights W1,W2,.. --seed N [-o FILE]
+    trischmidt gen haar --dims 2,2,2 --seed N [-o FILE]
     trischmidt check STATEFILE [--tol-rank X] [--tol-recon X] [--tol-degen X] [--all-pivots]
     trischmidt spectra STATEFILE [--tol-rank X] [--tol-recon X]
     trischmidt decompose-bipartite STATEFILE [--tol-rank X] [--tol-recon X]
@@ -43,7 +45,8 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
 
-_GEN_KINDS = ("ghz", "w", "product", "schmidt", "haar")
+# the options each generator kind takes; a kind requires them and refuses the others
+_GEN_KINDS = {"ghz": (), "w": (), "product": (), "schmidt": ("seed", "weights"), "haar": ("seed",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,12 +176,12 @@ def _pivot_entry(state: PureState, tol: Tolerances, pivot: int) -> dict:
 def _cmd_gen(args) -> int:
     dims = tuple(args.dims)
     kind = args.kind
-    if kind in ("haar", "schmidt") and args.seed is None:
-        print(f"trischmidt gen: error: --seed is required for kind '{kind}'", file=sys.stderr)
-        return EXIT_USAGE
-    if kind == "schmidt" and args.weights is None:
-        print("trischmidt gen: error: --weights is required for kind 'schmidt'", file=sys.stderr)
-        return EXIT_USAGE
+    for option in ("seed", "weights"):
+        given = getattr(args, option) is not None
+        if given != (option in _GEN_KINDS[kind]):
+            rule = "does not apply to" if given else "is required for"
+            print(f"trischmidt gen: error: --{option} {rule} kind '{kind}'", file=sys.stderr)
+            return EXIT_USAGE
     if kind == "schmidt":
         state = generate.schmidt_state(dims, args.weights, args.seed)
     elif kind == "haar":
@@ -287,7 +290,7 @@ def _build_parser() -> _Parser:
 
     p_gen = sub.add_parser("gen", help="generate a state file")
     p_gen.set_defaults(handler=_cmd_gen)
-    p_gen.add_argument("kind", choices=_GEN_KINDS)
+    p_gen.add_argument("kind", choices=list(_GEN_KINDS))
     p_gen.add_argument("--dims", type=_parse_dims, required=True, metavar="D1,D2[,D3]")
     p_gen.add_argument("--weights", type=_parse_weights, default=None, metavar="W1,W2,..",
                        help="positive weights for kind 'schmidt' (normalized to sum 1)")
@@ -321,9 +324,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except Indeterminate as exc:
-        print(f"trischmidt {args.command}: indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INDETERMINATE
     except (TrischmidtError, ValueError, OSError, MemoryError) as exc:
         print(f"trischmidt {args.command}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA

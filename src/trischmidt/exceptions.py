@@ -21,10 +21,6 @@ class NoConvergence(TrischmidtError):
     """An iterative kernel exhausted its budget without converging."""
 
 
-class NotUnitaryError(TrischmidtError):
-    """A matrix required to be unitary is not, within tolerance."""
-
-
 class ZeroVector(TrischmidtError):
     """An operation that needs a nonzero vector received the zero vector."""
 

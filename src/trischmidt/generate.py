@@ -81,7 +81,11 @@ def schmidt_state(dims, weights, seed: int) -> PureState:
         raise BadWeights(f"weights must be positive and finite, got {w.tolist()}")
     if w.size > min(dims):
         raise BadWeights(f"{w.size} weights exceed the smallest dimension {min(dims)}")
-    w = w / w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if not np.isfinite(total):
+        raise BadWeights(f"weights sum to {total}, not a finite number")
+    w = w / total
     rng = np.random.default_rng(seed)
     bases = [haar_unitary(d, rng)[:, : w.size] for d in dims]
     roots = np.sqrt(w)

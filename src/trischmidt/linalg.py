@@ -198,11 +198,3 @@ def numerical_rank(values, tol: Tolerances = DEFAULT_TOL) -> int:
         return 0
     return int(np.count_nonzero(vals > tol.rank_rel * top))
 
-
-def is_unitary(u, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff ``u`` is square and ``max|U^H U - I| <= recon_abs``."""
-    m = np.asarray(u, dtype=np.complex128)
-    if m.ndim != 2 or m.size == 0 or m.shape[0] != m.shape[1]:
-        return False
-    gram = m.conj().T @ m
-    return float(np.max(np.abs(gram - np.eye(m.shape[0])))) <= tol.recon_abs

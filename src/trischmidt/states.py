@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NotNormalized, NotUnitaryError
-from .linalg import DEFAULT_TOL, Tolerances, as_complex_matrix, is_unitary
+from .exceptions import DimensionMismatch, NotNormalized
+from .linalg import DEFAULT_TOL, Tolerances
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,9 +41,6 @@ class PureState:
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per party."""
         return self.amplitudes.reshape(self.dims)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,22 +119,6 @@ def reduced_density(state: PureState, keep, tol: Tolerances = DEFAULT_TOL) -> De
     rho = mat @ mat.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return DensityMatrix(dim=dim_keep, matrix=rho)
-
-
-def apply_local_unitary(
-    state: PureState, party: int, u, tol: Tolerances = DEFAULT_TOL
-) -> PureState:
-    """Apply a unitary to one party; the norm is preserved."""
-    party = _check_party(state, party)
-    mat = as_complex_matrix(u)
-    d = state.dims[party]
-    if mat.shape != (d, d):
-        raise DimensionMismatch(f"unitary shape {mat.shape} does not match dimension {d}")
-    if not is_unitary(mat, tol):
-        raise NotUnitaryError(f"matrix on party {party} is not unitary within recon_abs")
-    t = np.tensordot(mat, state.tensor, axes=(1, party))
-    t = np.moveaxis(t, 0, party)
-    return PureState(state.dims, t.reshape(-1))
 
 
 def overlap(s1: PureState, s2: PureState) -> complex:

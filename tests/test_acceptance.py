@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from trischmidt import (
-    apply_local_unitary,
     check,
     entanglement_entropy,
     ghz_state,
@@ -35,6 +34,8 @@ from trischmidt.cli import (
     main,
     state_payload,
 )
+
+from helpers import apply_local_unitary
 
 
 def _passed(name):

@@ -10,10 +10,11 @@ from trischmidt import (
     entropy_bits,
     haar_state,
     haar_unitary,
-    reconstruct_bipartite,
+    numerical_rank,
     schmidt_decompose,
-    schmidt_rank,
 )
+
+from helpers import reconstruct_bipartite
 
 BELL = np.array([[1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2)
 
@@ -52,18 +53,18 @@ def test_schmidt_decompose_rejects_zero():
 
 
 def test_schmidt_rank_cases():
-    assert schmidt_rank(BELL) == 2
+    assert numerical_rank(schmidt_decompose(BELL).coefficients) == 2
     rng = np.random.default_rng(31)
     b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    assert schmidt_rank(np.outer(b, c)) == 1
+    assert numerical_rank(schmidt_decompose(np.outer(b, c)).coefficients) == 1
 
 
 def test_schmidt_rank_w_slice_against_closed_form():
     m = np.array([[0.0, 1.0], [1.0, 0.0]]) / np.sqrt(3)
     hi, lo = svd2x2_values(m)
     assert abs(hi - 1 / np.sqrt(3)) < 1e-14 and abs(lo - 1 / np.sqrt(3)) < 1e-14
-    assert schmidt_rank(m) == 2
+    assert numerical_rank(schmidt_decompose(m).coefficients) == 2
     sd = schmidt_decompose(m)
     assert np.max(np.abs(sd.coefficients - [hi, lo])) < 1e-14
 
@@ -117,7 +118,7 @@ def test_coefficients_match_reduced_density_spectrum():
         spec = np.sort(np.linalg.eigvalsh(rho_a))[::-1][: sd.coefficients.size]
         assert np.max(np.abs(sd.coefficients**2 - spec)) < 1e-10
         assert sd.coefficients.size == min(dims)
-        assert schmidt_rank(v) <= min(dims)
+        assert numerical_rank(sd.coefficients) <= min(dims)
 
 
 def test_rank_one_iff_outer_product():
@@ -126,7 +127,7 @@ def test_rank_one_iff_outer_product():
         state = haar_state((3, 4), seed=700 + seed)
         v = state.tensor
         sd = schmidt_decompose(v)
-        rank = schmidt_rank(v)
+        rank = numerical_rank(sd.coefficients)
         top = sd.coefficients[0] * np.outer(sd.left_basis[:, 0], sd.right_basis[:, 0])
         if rank == 1:
             assert np.max(np.abs(v - top)) < 1e-10
@@ -134,8 +135,8 @@ def test_rank_one_iff_outer_product():
             assert np.max(np.abs(v - top)) > 1e-6
     b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     prod = np.outer(b / np.linalg.norm(b), np.ones(3) / np.sqrt(3))
-    assert schmidt_rank(prod) == 1
     sd = schmidt_decompose(prod)
+    assert numerical_rank(sd.coefficients) == 1
     rebuilt = sd.coefficients[0] * np.outer(sd.left_basis[:, 0], sd.right_basis[:, 0])
     assert np.max(np.abs(prod - rebuilt)) < 1e-10
 

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,35 @@ def test_gen_bad_weights_is_data_error(capsys):
     )
     assert code == EXIT_DATA
     assert "BadWeights" in err
+
+
+def test_gen_overflowing_weight_sum_is_data_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["gen", "schmidt", "--dims", "2,2,2", "--weights", "1e308,1e308", "--seed", "1"],
+            capsys,
+        )
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == "trischmidt gen: error: BadWeights: weights sum to inf, not a finite number\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ghz", "--seed", "1"], "--seed does not apply to kind 'ghz'"),
+    (["w", "--seed", "1"], "--seed does not apply to kind 'w'"),
+    (["product", "--seed", "1"], "--seed does not apply to kind 'product'"),
+    (["ghz", "--weights", "1"], "--weights does not apply to kind 'ghz'"),
+    (["w", "--weights", "1"], "--weights does not apply to kind 'w'"),
+    (["product", "--weights", "1"], "--weights does not apply to kind 'product'"),
+    (["haar", "--seed", "3", "--weights", "1,2"], "--weights does not apply to kind 'haar'"),
+    (["schmidt", "--weights", "1"], "--seed is required for kind 'schmidt'"),
+])
+def test_gen_options_follow_the_kind(argv, message, capsys):
+    code, out, err = run_cli(["gen", *argv, "--dims", "2,2,2"], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"trischmidt gen: error: {message}\n"
 
 
 def test_check_ghz_exit_zero(tmp_path, capsys):

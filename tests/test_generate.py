@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from trischmidt import (
     ghz_state,
     haar_state,
     haar_unitary,
-    is_unitary,
     product_state,
     schmidt_state,
     validate,
     w_state,
 )
+
+from helpers import is_unitary
 
 
 def test_ghz_amplitudes():
@@ -80,6 +83,14 @@ def test_schmidt_state_weight_validation():
         schmidt_state((2, 2, 2), [0.5, -0.5], seed=1)
     with pytest.raises(BadWeights):
         schmidt_state((2, 2, 2), [0.4, 0.3, 0.3], seed=1)
+
+
+def test_schmidt_state_rejects_overflowing_weight_sum():
+    # each weight is finite, their sum is not; no overflow warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadWeights, match="sum to inf"):
+            schmidt_state((2, 2, 2), [1e308, 1e308], seed=1)
 
 
 def test_schmidt_state_bipartite():

@@ -6,7 +6,6 @@ from trischmidt import (
     NotHermitian,
     Tolerances,
     hermitian_eigendecompose,
-    is_unitary,
     numerical_rank,
     svd,
 )
@@ -143,19 +142,6 @@ def test_numerical_rank_scale_invariance():
         values = np.sort(values)[::-1]
         scale = float(rng.uniform(1e-8, 1e8))
         assert numerical_rank(values) == numerical_rank(values * scale)
-
-
-def test_is_unitary():
-    assert is_unitary(np.eye(3))
-    assert not is_unitary(np.diag([1.0, 2.0]))
-    assert not is_unitary(np.ones((2, 3)))
-    # Householder-style reflection from a unit vector is unitary by construction
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    v /= np.linalg.norm(v)
-    h = np.eye(5) - 2.0 * np.outer(v, v.conj())
-    assert is_unitary(h)
-    assert np.max(np.abs(h.conj().T @ h - np.eye(5))) <= 1e-12
 
 
 def test_tolerances_validation():

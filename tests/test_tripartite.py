@@ -14,10 +14,8 @@ from trischmidt import (
     RankNotOne,
     Tolerances,
     analyze,
-    apply_local_unitary,
     check,
     construct,
-    degeneracy_groups,
     ghz_state,
     haar_state,
     haar_unitary,
@@ -26,11 +24,13 @@ from trischmidt import (
     product_state,
     reconstruct_tripartite,
     reduced_density,
-    refine_degenerate,
     schmidt_state,
     spectrum_report,
     w_state,
 )
+from trischmidt.tripartite import degeneracy_groups, refine_degenerate
+
+from helpers import apply_local_unitary
 
 GHZ = ghz_state((2, 2, 2))
 W = w_state((2, 2, 2))

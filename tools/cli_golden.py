@@ -11,9 +11,11 @@ antisymmetric state and a|000>+b|101>), three bad files (not normalised,
 the JSON literal ``NaN``, truncated) and five two-party states (Bell and
 Haar up to 2x4096).  It then runs ``check``, ``check --all-pivots`` and
 ``spectra`` on the three-party and bad files, and ``decompose-bipartite``
-on the two-party files, each in its own ``python -m trischmidt`` process
-with one BLAS thread, and writes one JSON record per run: the command, the
-exit code, the SHA-256 of stdout and of stderr, and stdout itself.
+on the two-party files, plus five valid ``gen`` runs (ghz, w, product,
+schmidt and haar, seeded where the kind takes a seed) that pin the bytes of
+generated state files.  Each run is its own ``python -m trischmidt`` process
+with one BLAS thread, and writes one JSON record: the command, the exit
+code, the SHA-256 of stdout and of stderr, and stdout itself.
 ``--src`` picks the trischmidt sources to run, so two versions of the
 program can be compared on the same files.
 
@@ -38,6 +40,13 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 THREE_PARTY_COMMANDS = (("check",), ("check", "--all-pivots"), ("spectra",))
+GEN_RUNS = (
+    ("gen", "ghz", "--dims", "3,3,3"),
+    ("gen", "w", "--dims", "2,2,2"),
+    ("gen", "product", "--dims", "2,3,4"),
+    ("gen", "schmidt", "--dims", "3,4,5", "--weights", "0.5,0.3,0.2", "--seed", "42"),
+    ("gen", "haar", "--dims", "4,4,4", "--seed", "7"),
+)
 
 
 def _normalised(t: np.ndarray) -> np.ndarray:
@@ -159,6 +168,7 @@ def golden(src: Path, out) -> int:
         three, two = write_inputs(directory)
         runs = [(*cmd, name) for name in three for cmd in THREE_PARTY_COMMANDS]
         runs += [("decompose-bipartite", name) for name in two]
+        runs += GEN_RUNS
         for args in runs:
             out.write(json.dumps(_run(src, directory, args)) + "\n")
             count += 1
