@@ -35,7 +35,6 @@ from .linalg import (
     svd,
 )
 from .states import (
-    DensityMatrix,
     PureState,
     overlap,
     partial_inner_product,
@@ -61,7 +60,6 @@ __all__ = [
     "BadWeights",
     "BipartiteSchmidt",
     "DEFAULT_TOL",
-    "DensityMatrix",
     "DimensionMismatch",
     "HermitianEigenResult",
     "Indeterminate",

@@ -44,14 +44,14 @@ def _as_state_matrix(v) -> np.ndarray:
     return m
 
 
-def schmidt_decompose(v, tol: Tolerances = DEFAULT_TOL) -> BipartiteSchmidt:
+def schmidt_decompose(v) -> BipartiteSchmidt:
     """Schmidt-decompose a nonzero bipartite amplitude matrix.
 
     Zero coefficients are retained up to min(shape) so the basis blocks
     stay orthonormal and reconstruction keeps a predictable shape.
     """
     m = _as_state_matrix(v)
-    res = linalg.svd(m, tol)
+    res = linalg.svd(m)
     return BipartiteSchmidt(
         coefficients=res.singular_values,
         left_basis=res.left_vectors,
@@ -78,5 +78,5 @@ def entanglement_entropy(v, tol: Tolerances = DEFAULT_TOL) -> float:
     deviation = abs(float(np.linalg.norm(m)) - 1.0)
     if deviation > tol.recon_abs:
         raise NotNormalized(f"state norm deviates from 1 by {deviation:.3e}")
-    coeffs = linalg.svd(m, tol).singular_values
+    coeffs = linalg.svd(m).singular_values
     return entropy_bits(coeffs**2, tol)

@@ -97,7 +97,7 @@ def parse_state_payload(payload) -> PureState:
         amps = np.array([complex(re, im) for re, im in amplitudes], dtype=np.complex128)
         if any(type(re) is bool or type(im) is bool for re, im in amplitudes):
             raise TypeError("JSON true/false is not a number")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TrischmidtError(f"amplitudes must be [re, im] pairs: {exc}") from exc
     return PureState(tuple(dims), amps)
 
@@ -110,7 +110,7 @@ def load_state_file(path: str) -> PureState:
             text = handle.read()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise TrischmidtError(f"invalid JSON in state file: {exc}") from exc
     return parse_state_payload(payload)
 
@@ -229,7 +229,7 @@ def _cmd_spectra(args) -> int:
 
 def _cmd_decompose_bipartite(args) -> int:
     state, report = _load(args, 2)
-    sd = schmidt_decompose(state.tensor, args.tol)
+    sd = schmidt_decompose(state.tensor)
     columns = range(sd.coefficients.size)
     report["coefficients"] = [float(c) for c in sd.coefficients]
     report["left_basis"] = [_pairs(sd.left_basis[:, i]) for i in columns]

@@ -164,7 +164,7 @@ def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndar
     return w, v
 
 
-def svd(a, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
+def svd(a) -> SvdResult:
     """Thin SVD with canonical phases and deterministic tie order.
 
     Paired left/right columns are rotated by a common phase so each left

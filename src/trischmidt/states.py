@@ -8,6 +8,7 @@ first party is a contiguous matrix over the remaining parties.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +44,6 @@ class PureState:
         return self.amplitudes.reshape(self.dims)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace matrix."""
-
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "dim", int(self.dim))
-
-
 def validate(state: PureState, tol: Tolerances = DEFAULT_TOL) -> PureState:
     """Return ``state`` unchanged if it is a well-formed normalized state."""
     if state.n_parties not in (2, 3):
@@ -77,7 +64,10 @@ def validate(state: PureState, tol: Tolerances = DEFAULT_TOL) -> PureState:
 
 
 def _check_party(state: PureState, party: int) -> int:
-    party = int(party)
+    try:
+        party = operator.index(party)
+    except TypeError as exc:
+        raise DimensionMismatch(f"party index must be an integer, got {party!r}") from exc
     if not 0 <= party < state.n_parties:
         raise DimensionMismatch(f"party index {party} out of range for {state.n_parties} parties")
     return party
@@ -105,20 +95,26 @@ def partial_inner_product(
     return np.tensordot(vec.conj(), state.tensor, axes=(0, party))
 
 
-def reduced_density(state: PureState, keep, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def _unfold(t: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Amplitude matrix of ``t``: the ``keep`` parties as rows, the rest in order as columns."""
+    rest = tuple(i for i in range(t.ndim) if i not in keep)
+    return t.transpose(keep + rest).reshape(math.prod(t.shape[i] for i in keep), -1)
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """``m m^H``, symmetrized so the result is exactly Hermitian."""
+    rho = m @ m.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+def reduced_density(state: PureState, keep) -> np.ndarray:
     """Partial trace of ``|psi><psi|`` onto the parties listed in ``keep``."""
     keep = tuple(sorted({_check_party(state, k) for k in keep}))
     if not keep or len(keep) >= state.n_parties:
         raise DimensionMismatch(
             f"keep must be a nonempty proper subset of parties, got {keep}"
         )
-    rest = tuple(i for i in range(state.n_parties) if i not in keep)
-    dim_keep = math.prod(state.dims[i] for i in keep)
-    dim_rest = math.prod(state.dims[i] for i in rest)
-    mat = np.transpose(state.tensor, keep + rest).reshape(dim_keep, dim_rest)
-    rho = mat @ mat.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(dim=dim_keep, matrix=rho)
+    return _gram(_unfold(state.tensor, keep))
 
 
 def overlap(s1: PureState, s2: PureState) -> complex:

@@ -10,7 +10,8 @@ vector and the slice factors form orthonormal families on both remaining
 parties; the weights ``d_i`` are the squared slice norms, which are the
 pivot eigenvalues.
 
-``analyze`` eigendecomposes the pivot's reduced density matrix, Hermitian by
+``analyze`` takes the pivot's reduced density matrix and the slices from one
+unfolding of the state.  It eigendecomposes that matrix, Hermitian by
 construction, without re-checking it, and canonicalizes only the kept
 eigenvectors.  One product gives all slices, one batched call their singular
 values; power steps give the leading factors of the slices on first access.
@@ -44,9 +45,9 @@ from . import linalg
 from .bipartite import schmidt_decompose  # noqa: F401
 from .exceptions import DimensionMismatch, Indeterminate, NoConvergence, NotNormalized, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
-from .states import PureState, reduced_density, validate
-# Unused here, but kept importable by name: the benchmark tracer wraps it.
-from .states import partial_inner_product  # noqa: F401
+from .states import PureState, _check_party, _gram, _unfold, validate
+# Unused here, but kept importable by name: the benchmark tracer wraps them.
+from .states import partial_inner_product, reduced_density  # noqa: F401
 
 PARTY_NAMES = ("A", "B", "C")
 
@@ -187,18 +188,14 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     validate(state, tol)
     if state.n_parties != 3:
         raise DimensionMismatch("analysis is defined for tripartite states")
-    pivot = _pivot_party(state.dims) if pivot is None else int(pivot)
-    if not 0 <= pivot < 3:
-        raise DimensionMismatch(f"pivot must be 0, 1 or 2, got {pivot}")
+    pivot = _pivot_party(state.dims) if pivot is None else _check_party(state, pivot)
+    m = _unfold(state.tensor, (pivot,))
     # rho is exactly Hermitian by construction, so it is not checked again
-    spectrum, basis = linalg._eigh_canonical(reduced_density(state, (pivot,), tol).matrix, tol,
-                                             retained=True)
+    spectrum, basis = linalg._eigh_canonical(_gram(m), tol, retained=True)
     deviation = float(np.max(np.abs(np.linalg.norm(basis, axis=0) - 1.0)))
     if deviation > tol.recon_abs:
         raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
-    moved = state.tensor.transpose(pivot, *(i for i in range(3) if i != pivot))
-    slices = np.dot(basis.conj().T.copy(), moved.reshape(len(moved), -1))
-    slices = slices.reshape(-1, *moved.shape[1:])
+    slices = (basis.conj().T.copy() @ m).reshape(-1, *state.dims[:pivot], *state.dims[pivot + 1:])
     return SliceAnalysis(
         dims=state.dims,
         pivot_party=pivot,
@@ -333,7 +330,7 @@ def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) ->
     )
 
 
-def construct(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> TripartiteSchmidt:
+def construct(analysis: SliceAnalysis) -> TripartiteSchmidt:
     """Assemble the decomposition from an all-rank-one slicing.
 
     Weights are the squared top singular values (the squared slice
@@ -412,7 +409,7 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
 
     residual = float(np.max(final.slice_values[:, 1:], initial=0.0))
     if accepted:
-        return Verdict(True, construct(final, tol), final, degenerate, residual)
+        return Verdict(True, construct(final), final, degenerate, residual)
     if not degenerate:
         return Verdict(False, None, final, False, residual)
 
@@ -463,7 +460,7 @@ def _party_spectra(state: PureState) -> list[np.ndarray]:
     spectra = []
     for p, d in enumerate(state.dims):
         try:
-            s = np.linalg.svd(np.moveaxis(t, p, 0).reshape(d, -1), compute_uv=False) ** 2
+            s = np.linalg.svd(_unfold(t, (p,)), compute_uv=False) ** 2
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
         spectra.append(np.pad(s, (0, d - s.size)))

@@ -122,8 +122,8 @@ def test_a_bc_equal_spectrum():
     for trial in range(100):
         dims = (int(rng.integers(2, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         state = haar_state(dims, seed=int(rng.integers(0, 2**32)))
-        spec_a = hermitian_eigendecompose(reduced_density(state, (0,)).matrix).eigenvalues
-        spec_bc = hermitian_eigendecompose(reduced_density(state, (1, 2)).matrix).eigenvalues
+        spec_a = hermitian_eigendecompose(reduced_density(state, (0,))).eigenvalues
+        spec_bc = hermitian_eigendecompose(reduced_density(state, (1, 2))).eigenvalues
         n = spec_a.size
         assert np.max(np.abs(spec_a - spec_bc[:n])) <= 1e-10, (trial, dims)
         assert np.max(np.abs(spec_bc[n:]), initial=0.0) <= 1e-10
@@ -161,7 +161,7 @@ def test_bipartite_engine():
         state = haar_state(dims, seed=int(rng.integers(0, 2**32)))
         v = state.tensor
         sd = schmidt_decompose(v)
-        rho_a = reduced_density(state, (0,)).matrix
+        rho_a = reduced_density(state, (0,))
         eig = hermitian_eigendecompose(rho_a)
         k = sd.coefficients.size
         assert np.max(np.abs(sd.coefficients**2 - eig.eigenvalues[:k])) <= 1e-10, trial

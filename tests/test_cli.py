@@ -189,6 +189,21 @@ def test_check_invalid_json_is_data_error(tmp_path, capsys):
     assert "JSON" in err
 
 
+@pytest.mark.parametrize("amplitudes, message", [
+    # complex() cannot convert an integer this large to a float
+    ("[[1" + "0" * 400 + ", 0]]", "amplitudes must be [re, im] pairs"),
+    # json.loads runs out of recursion depth before it sees the end
+    ("[" * 100_000 + "]" * 100_000, "invalid JSON in state file"),
+], ids=["401-digit-integer", "nested-100000-deep"])
+def test_check_hostile_file_is_data_error(amplitudes, message, tmp_path, capsys):
+    path = tmp_path / "hostile.json"
+    path.write_text('{"dims": [1, 1, 1], "amplitudes": ' + amplitudes + "}", encoding="utf-8")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == EXIT_DATA
+    assert f"TrischmidtError: {message}" in err
+    assert out == ""
+
+
 def test_check_report_is_byte_deterministic(tmp_path, capsys):
     path = write_state(tmp_path, "s.json", ghz_state((2, 2, 2)))
     _, out1, _ = run_cli(["check", path], capsys)

@@ -12,7 +12,7 @@ PUBLIC = {
     "check", "analyze", "construct", "reconstruct_tripartite", "spectrum_report",
     "Verdict", "SliceAnalysis", "TripartiteSchmidt", "SpectrumReport",
     # states
-    "PureState", "DensityMatrix", "validate", "overlap", "partial_inner_product",
+    "PureState", "validate", "overlap", "partial_inner_product",
     "reduced_density",
     # bipartite engine and linear algebra
     "BipartiteSchmidt", "schmidt_decompose", "entanglement_entropy", "entropy_bits",
@@ -27,7 +27,7 @@ PUBLIC = {
 
 
 def test_all_is_the_documented_surface():
-    assert len(trischmidt.__all__) == len(PUBLIC) == 42
+    assert len(trischmidt.__all__) == len(PUBLIC) == 41
     assert set(trischmidt.__all__) == PUBLIC
     for name in trischmidt.__all__:
         assert getattr(trischmidt, name) is not None, name

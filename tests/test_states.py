@@ -127,14 +127,14 @@ def test_partial_inner_product_completeness():
 
 def test_reduced_density_ghz():
     rho = reduced_density(ghz_state((2, 2, 2)), (0,))
-    assert np.allclose(rho.matrix, np.eye(2) / 2)
+    assert np.allclose(rho, np.eye(2) / 2)
 
 
 def test_reduced_density_w_matches_brute_force():
     w = w_state((2, 2, 2))
     rho = reduced_density(w, (0,))
-    assert np.allclose(rho.matrix, np.diag([2 / 3, 1 / 3]))
-    assert np.max(np.abs(rho.matrix - brute_force_reduced(w, (0,)))) < 1e-12
+    assert np.allclose(rho, np.diag([2 / 3, 1 / 3]))
+    assert np.max(np.abs(rho - brute_force_reduced(w, (0,)))) < 1e-12
 
 
 def test_reduced_density_product_projector():
@@ -142,15 +142,15 @@ def test_reduced_density_product_projector():
     rho = reduced_density(state, (1, 2))
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
-    assert np.allclose(rho.matrix, expected)
+    assert np.allclose(rho, expected)
 
 
 def test_reduced_density_random_matches_brute_force():
     state = haar_state((2, 3, 2), seed=77)
     for keep in [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2)]:
         rho = reduced_density(state, keep)
-        assert np.max(np.abs(rho.matrix - brute_force_reduced(state, keep))) < 1e-12
-        assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
+        assert np.max(np.abs(rho - brute_force_reduced(state, keep))) < 1e-12
+        assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
 def test_reduced_density_rejects_bad_subsets():
@@ -196,7 +196,7 @@ def test_slice_gram_equals_reduced_density():
     for seed in range(5):
         state = haar_state((3, 3, 4), seed=1000 + seed)
         basis = haar_unitary(3, rng)
-        rho = reduced_density(state, (0,)).matrix
+        rho = reduced_density(state, (0,))
         slices = [partial_inner_product(state, 0, basis[:, i]) for i in range(3)]
         gram = np.array([[np.vdot(slices[j], slices[i]) for j in range(3)] for i in range(3)])
         expected = np.array(
@@ -209,8 +209,8 @@ def test_slice_gram_equals_reduced_density():
 def test_a_bc_spectra_agree():
     for seed in range(5):
         state = haar_state((3, 4, 2), seed=400 + seed)
-        spec_a = np.sort(np.linalg.eigvalsh(reduced_density(state, (0,)).matrix))[::-1]
-        spec_bc = np.sort(np.linalg.eigvalsh(reduced_density(state, (1, 2)).matrix))[::-1]
+        spec_a = np.sort(np.linalg.eigvalsh(reduced_density(state, (0,))))[::-1]
+        spec_bc = np.sort(np.linalg.eigvalsh(reduced_density(state, (1, 2))))[::-1]
         assert np.max(np.abs(spec_a - spec_bc[: len(spec_a)])) < 1e-10
         assert np.max(np.abs(spec_bc[len(spec_a):])) < 1e-10
 
@@ -220,6 +220,6 @@ def test_local_unitary_preserves_spectra_of_other_parties():
     rng = np.random.default_rng(2)
     rotated = apply_local_unitary(state, 2, haar_unitary(3, rng))
     for party in (0, 1):
-        before = np.linalg.eigvalsh(reduced_density(state, (party,)).matrix)
-        after = np.linalg.eigvalsh(reduced_density(rotated, (party,)).matrix)
+        before = np.linalg.eigvalsh(reduced_density(state, (party,)))
+        after = np.linalg.eigvalsh(reduced_density(rotated, (party,)))
         assert np.max(np.abs(before - after)) < 1e-10

@@ -96,6 +96,35 @@ def test_analyze_requires_tripartite():
         analyze(PureState((2, 4), GHZ.amplitudes))
 
 
+PARTY_CALLS = {
+    "check": lambda state, party: check(state, pivot=party),
+    "analyze": lambda state, party: analyze(state, pivot=party),
+    "reduced_density": lambda state, party: reduced_density(state, (party,)),
+    "partial_inner_product": lambda state, party: partial_inner_product(state, party, np.eye(3)[0]),
+}
+
+
+@pytest.mark.parametrize("name", PARTY_CALLS)
+@pytest.mark.parametrize("party", [-0.5, 0.9, 1.7, 2.9, 3, -1, "1"], ids=repr)
+def test_party_index_must_be_an_in_range_integer(name, party):
+    # a float index used to be truncated toward zero and silently accepted
+    state = haar_state((3, 3, 3), seed=3400)
+    with pytest.raises(DimensionMismatch):
+        PARTY_CALLS[name](state, party)
+
+
+@pytest.mark.parametrize("name", PARTY_CALLS)
+def test_numpy_integer_party_index_is_accepted(name):
+    state = haar_state((3, 3, 3), seed=3400)
+    got, want = PARTY_CALLS[name](state, np.int64(1)), PARTY_CALLS[name](state, 1)
+    if name == "check":
+        got, want = got.analysis, want.analysis
+    if name in ("check", "analyze"):
+        assert got.pivot_party == want.pivot_party == 1
+        got, want = got.slice_values, want.slice_values
+    assert np.array_equal(got, want)
+
+
 def test_check_ghz():
     verdict = check(GHZ)
     assert verdict.decomposable
@@ -279,7 +308,7 @@ def test_spectrum_report_matches_reduced_density_eigenvalues(dims):
     report = spectrum_report(state)
     spectra = (report.spectrum_a, report.spectrum_b, report.spectrum_c, report.spectrum_bc)
     for keep, spec in zip(((0,), (1,), (2,), (1, 2)), spectra):
-        want = np.linalg.eigvalsh(reduced_density(state, keep).matrix)[::-1]
+        want = np.linalg.eigvalsh(reduced_density(state, keep))[::-1]
         assert spec.shape == (int(np.prod([dims[k] for k in keep])),)
         assert np.max(np.abs(spec - want)) < 1e-10
     assert report.equal_a_bc
@@ -295,6 +324,18 @@ def test_spectrum_report_builds_no_density_matrix(monkeypatch):
     assert report.spectrum_bc.shape == (64 * 64,)
     assert np.max(np.abs(report.spectrum_bc[2:]), initial=0.0) == 0.0
     assert report.equal_a_bc
+
+
+def test_check_and_spectra_never_call_reduced_density(monkeypatch):
+    # analyze takes rho and the slices from one unfolding of the state
+    def forbidden(*args, **kwargs):
+        raise AssertionError("tripartite.reduced_density must not be called")
+
+    monkeypatch.setattr(tripartite, "reduced_density", forbidden)
+    for state in (GHZ, W, haar_state((3, 4, 5), seed=3300)):
+        for pivot in (None, 0, 1, 2):
+            check(state, pivot=pivot)
+        spectrum_report(state)
 
 
 def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
@@ -512,7 +553,7 @@ def test_analyze_eigenbasis_is_the_checked_eigendecomposition_bit_for_bit(state)
     # analyze skips the Hermitian checks and canonicalizes only the kept columns
     for pivot in range(3):
         analysis = analyze(state, pivot=pivot)
-        eig = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)).matrix)
+        eig = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)))
         r = analysis.pivot_basis.shape[1]
         assert r == linalg.numerical_rank(np.maximum(eig.eigenvalues, 0.0))
         assert np.array_equal(analysis.pivot_basis, eig.eigenvectors[:, :r])

@@ -7,8 +7,9 @@
 The first form writes a fixed set of state files, built with plain numpy
 from fixed seeds, into a temporary directory: 24 three-party states (Haar,
 GHZ, W, product, distinct and tied weights, a 1e-7 weight gap, the
-antisymmetric state and a|000>+b|101>), three bad files (not normalised,
-the JSON literal ``NaN``, truncated) and five two-party states (Bell and
+antisymmetric state and a|000>+b|101>), five bad files (not normalised,
+the JSON literal ``NaN``, truncated, an amplitude that is a 401-digit
+integer, arrays nested 100 000 deep) and five two-party states (Bell and
 Haar up to 2x4096).  It then runs ``check``, ``check --all-pivots`` and
 ``spectra`` on the three-party and bad files, and ``decompose-bipartite``
 on the two-party files, plus five valid ``gen`` runs (ghz, w, product,
@@ -141,9 +142,12 @@ def write_inputs(directory: Path) -> tuple[list[str], list[str]]:
     unnormalised = _payload(np.ones((2, 2, 2), dtype=complex))
     nan = _payload(_ghz(2))
     nan["amplitudes"][0][0] = float("nan")
+    hostile = '{"dims": [1, 1, 1], "amplitudes": %s}'
     bad = {"bad-unnormalised.json": json.dumps(unnormalised),
            "bad-nan.json": json.dumps(nan),  # json writes the literal NaN
-           "bad-truncated.json": valid[: len(valid) // 2]}
+           "bad-truncated.json": valid[: len(valid) // 2],
+           "bad-overflow.json": hostile % ("[[1" + "0" * 400 + ", 0]]"),
+           "bad-deep.json": hostile % ("[" * 100_000 + "]" * 100_000)}
     for name, text in bad.items():
         (directory / name).write_text(text + "\n")
         three.append(name)
