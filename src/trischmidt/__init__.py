@@ -27,8 +27,6 @@ from .exceptions import (
 from .generate import ghz_state, haar_state, haar_unitary, product_state, schmidt_state, w_state
 from .linalg import (
     DEFAULT_TOL,
-    HermitianEigenResult,
-    SvdResult,
     Tolerances,
     hermitian_eigendecompose,
     numerical_rank,
@@ -61,7 +59,6 @@ __all__ = [
     "BipartiteSchmidt",
     "DEFAULT_TOL",
     "DimensionMismatch",
-    "HermitianEigenResult",
     "Indeterminate",
     "NoConvergence",
     "NotHermitian",
@@ -70,7 +67,6 @@ __all__ = [
     "RankNotOne",
     "SliceAnalysis",
     "SpectrumReport",
-    "SvdResult",
     "Tolerances",
     "TripartiteSchmidt",
     "TrischmidtError",

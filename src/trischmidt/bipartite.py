@@ -51,18 +51,15 @@ def schmidt_decompose(v) -> BipartiteSchmidt:
     stay orthonormal and reconstruction keeps a predictable shape.
     """
     m = _as_state_matrix(v)
-    res = linalg.svd(m)
-    return BipartiteSchmidt(
-        coefficients=res.singular_values,
-        left_basis=res.left_vectors,
-        right_basis=res.right_vectors.conj(),
-        input_norm=float(np.linalg.norm(m)),
-    )
+    coeffs, left, right = linalg.svd(m)
+    return BipartiteSchmidt(coeffs, left, right.conj(), float(np.linalg.norm(m)))
 
 
 def entropy_bits(probabilities, tol: Tolerances = DEFAULT_TOL) -> float:
     """Shannon entropy (base 2) of a spectrum, ignoring zero entries."""
     p = np.asarray(probabilities, dtype=float)
+    if not np.isfinite(p).all():
+        raise DimensionMismatch("spectrum contains non-finite entries")
     if p.size == 0:
         return 0.0
     top = float(p.max(initial=0.0))
@@ -78,5 +75,4 @@ def entanglement_entropy(v, tol: Tolerances = DEFAULT_TOL) -> float:
     deviation = abs(float(np.linalg.norm(m)) - 1.0)
     if deviation > tol.recon_abs:
         raise NotNormalized(f"state norm deviates from 1 by {deviation:.3e}")
-    coeffs = linalg.svd(m).singular_values
-    return entropy_bits(coeffs**2, tol)
+    return entropy_bits(linalg.svd(m)[0] ** 2, tol)

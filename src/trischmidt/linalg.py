@@ -50,31 +50,6 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigenResult:
-    """Eigenpairs of a Hermitian matrix, eigenvalues descending.
-
-    ``eigenvectors[:, k]`` belongs to ``eigenvalues[k]``; the column set
-    is unitary.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Thin singular value decomposition ``A = U diag(s) V^H``, ``k = min(m, n)``.
-
-    ``left_vectors`` (m x k) and ``right_vectors`` (n x k) have orthonormal
-    columns; ``singular_values`` has length k, sorted descending.
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a nonempty 2-D complex128 array with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
@@ -105,35 +80,26 @@ def _column_phases(v: np.ndarray) -> np.ndarray:
     return ph
 
 
-def _lex_key(v: np.ndarray) -> tuple:
-    return tuple(np.stack([v.real, v.imag], axis=1).ravel().tolist())
-
-
 def _order_ties(values: np.ndarray, column_blocks: list[np.ndarray]) -> None:
-    """Reorder columns inside runs of exactly equal values, in place.
+    """Reorder columns inside runs of exactly equal (descending) values, in place.
 
-    The primary block (first entry) supplies the lexicographic key;
-    every block is permuted identically so pairings survive.
+    Ties go by descending lexicographic key of the primary block's (first
+    entry's) columns, interleaved (re, im) row by row; equal keys keep their
+    order.  Every block is permuted identically so pairings survive.
     """
     if not np.any(values[1:] == values[:-1]):
         return
-    n = len(values)
     primary = column_blocks[0]
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] == values[start]:
-            stop += 1
-        if stop - start > 1:
-            order = sorted(range(start, stop), key=lambda k: _lex_key(primary[:, k]), reverse=True)
-            for block in column_blocks:
-                block[:, start:stop] = block[:, order]
-        start = stop
+    keys = np.stack([primary.real, primary.imag], axis=1).reshape(-1, primary.shape[1])
+    order = np.lexsort(np.vstack([-keys[::-1], -values]))
+    for block in column_blocks:
+        block[:] = block[:, order]
 
 
-def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> HermitianEigenResult:
-    """Eigendecompose a (numerically) Hermitian matrix.
+def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs ``(values, vectors)`` of a (numerically) Hermitian matrix.
 
+    ``vectors[:, k]`` belongs to ``values[k]``; the column set is unitary.
     Raises NotHermitian when ``a`` is not square or ``max|A - A^H|``
     exceeds ``tol.recon_abs``; NoConvergence when LAPACK gives up.
     """
@@ -146,7 +112,7 @@ def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> HermitianEigen
         raise NotHermitian(
             f"max |A - A^H| = {deviation:.3e} exceeds recon_abs = {tol.recon_abs:.3e}"
         )
-    return HermitianEigenResult(*_eigh_canonical((m + m.conj().T) / 2.0, tol))
+    return _eigh_canonical((m + m.conj().T) / 2.0, tol)
 
 
 def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -164,11 +130,13 @@ def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndar
     return w, v
 
 
-def svd(a) -> SvdResult:
-    """Thin SVD with canonical phases and deterministic tie order.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD ``(s, u, v)``, ``A = U diag(s) V^H``, in the module's conventions.
 
-    Paired left/right columns are rotated by a common phase so each left
-    vector has its largest-magnitude entry real positive.
+    With ``k = min(m, n)``, ``u`` (m x k) and ``v`` (n x k) have orthonormal
+    columns and ``s`` has length k.  Paired left/right columns are rotated
+    by a common phase so each left vector's largest-magnitude entry is real
+    positive.
     """
     m = as_complex_matrix(a)
     try:
@@ -181,7 +149,7 @@ def svd(a) -> SvdResult:
     u *= ph
     v *= ph
     _order_ties(s, [u, v])
-    return SvdResult(singular_values=s, left_vectors=u, right_vectors=v)
+    return s, u, v
 
 
 def numerical_rank(values, tol: Tolerances = DEFAULT_TOL) -> int:

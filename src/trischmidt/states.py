@@ -90,7 +90,7 @@ def partial_inner_product(
             f"vector has length {vec.size}, party {party} has dimension {state.dims[party]}"
         )
     nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > tol.recon_abs:
+    if not abs(nrm - 1.0) <= tol.recon_abs:  # a NaN norm fails too
         raise NotNormalized(f"contraction vector norm deviates from 1 by {abs(nrm - 1.0):.3e}")
     return np.tensordot(vec.conj(), state.tensor, axes=(0, party))
 
@@ -109,6 +109,8 @@ def _gram(m: np.ndarray) -> np.ndarray:
 
 def reduced_density(state: PureState, keep) -> np.ndarray:
     """Partial trace of ``|psi><psi|`` onto the parties listed in ``keep``."""
+    if not np.iterable(keep):
+        raise DimensionMismatch(f"keep must be a collection of party indices, got {keep!r}")
     keep = tuple(sorted({_check_party(state, k) for k in keep}))
     if not keep or len(keep) >= state.n_parties:
         raise DimensionMismatch(

@@ -122,8 +122,8 @@ def test_a_bc_equal_spectrum():
     for trial in range(100):
         dims = (int(rng.integers(2, 5)), int(rng.integers(2, 9)), int(rng.integers(2, 9)))
         state = haar_state(dims, seed=int(rng.integers(0, 2**32)))
-        spec_a = hermitian_eigendecompose(reduced_density(state, (0,))).eigenvalues
-        spec_bc = hermitian_eigendecompose(reduced_density(state, (1, 2))).eigenvalues
+        spec_a, _ = hermitian_eigendecompose(reduced_density(state, (0,)))
+        spec_bc, _ = hermitian_eigendecompose(reduced_density(state, (1, 2)))
         n = spec_a.size
         assert np.max(np.abs(spec_a - spec_bc[:n])) <= 1e-10, (trial, dims)
         assert np.max(np.abs(spec_bc[n:]), initial=0.0) <= 1e-10
@@ -162,13 +162,13 @@ def test_bipartite_engine():
         v = state.tensor
         sd = schmidt_decompose(v)
         rho_a = reduced_density(state, (0,))
-        eig = hermitian_eigendecompose(rho_a)
+        w, vecs = hermitian_eigendecompose(rho_a)
         k = sd.coefficients.size
-        assert np.max(np.abs(sd.coefficients**2 - eig.eigenvalues[:k])) <= 1e-10, trial
-        res = svd(v)
-        rebuilt = (res.left_vectors * res.singular_values) @ res.right_vectors.conj().T
+        assert np.max(np.abs(sd.coefficients**2 - w[:k])) <= 1e-10, trial
+        s, left, right = svd(v)
+        rebuilt = (left * s) @ right.conj().T
         assert np.max(np.abs(rebuilt - v)) <= 1e-10
-        rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
+        rebuilt = (vecs * w) @ vecs.conj().T
         assert np.max(np.abs(rebuilt - rho_a)) <= 1e-10
     bell = np.array([[1.0, 0.0], [0.0, 1.0]]) / np.sqrt(2)
     assert abs(entanglement_entropy(bell) - 1.0) <= 1e-12

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from trischmidt import (
+    DimensionMismatch,
     NotNormalized,
     ZeroVector,
     entanglement_entropy,
@@ -91,6 +92,13 @@ def test_entropy_bell_and_product():
     # +0.0, so reports never print -0
     assert math.copysign(1.0, entanglement_entropy(v)) == 1.0
     assert math.copysign(1.0, entropy_bits([1.0, 0.0])) == 1.0
+
+
+def test_entropy_bits_rejects_non_finite_spectrum():
+    # a NaN maximum would fail every comparison and read as entropy 0
+    for spectrum in ([np.nan, 0.5], [0.5, np.inf]):
+        with pytest.raises(DimensionMismatch):
+            entropy_bits(spectrum)
 
 
 def test_entropy_09_01_against_direct_formula():

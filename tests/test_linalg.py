@@ -21,14 +21,14 @@ def random_complex(shape, rng):
 
 
 def test_eigendecompose_diagonal():
-    res = hermitian_eigendecompose(np.diag([2.0, 1.0]))
-    assert np.allclose(res.eigenvalues, [2.0, 1.0])
-    assert np.allclose(res.eigenvectors, np.eye(2))
+    w, v = hermitian_eigendecompose(np.diag([2.0, 1.0]))
+    assert np.allclose(w, [2.0, 1.0])
+    assert np.allclose(v, np.eye(2))
 
 
 def test_eigendecompose_pauli_x():
-    res = hermitian_eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(res.eigenvalues, [1.0, -1.0])
+    w, _ = hermitian_eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(w, [1.0, -1.0])
 
 
 def test_eigenvalue_sum_equals_trace():
@@ -36,8 +36,8 @@ def test_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(41)
     h = random_hermitian(4, rng)
     trace = sum(h[i, i].real for i in range(4))
-    res = hermitian_eigendecompose(h)
-    assert abs(res.eigenvalues.sum() - trace) < 1e-10
+    w, _ = hermitian_eigendecompose(h)
+    assert abs(w.sum() - trace) < 1e-10
 
 
 def test_eigendecompose_rejects_non_hermitian():
@@ -51,8 +51,7 @@ def test_eigendecompose_rejects_non_hermitian():
 def test_eigendecompose_reconstruction(n):
     rng = np.random.default_rng(n)
     h = random_hermitian(n, rng)
-    res = hermitian_eigendecompose(h)
-    v, w = res.eigenvectors, res.eigenvalues
+    w, v = hermitian_eigendecompose(h)
     assert np.all(np.diff(w) <= 1e-12)
     assert np.max(np.abs((v * w) @ v.conj().T - h)) <= 1e-10
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
@@ -65,20 +64,20 @@ def test_eigendecompose_reconstruction(n):
 def test_eigendecompose_deterministic():
     rng = np.random.default_rng(5)
     h = random_hermitian(6, rng)
-    a = hermitian_eigendecompose(h)
-    b = hermitian_eigendecompose(h.copy())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    wa, va = hermitian_eigendecompose(h)
+    wb, vb = hermitian_eigendecompose(h.copy())
+    assert np.array_equal(wa, wb)
+    assert np.array_equal(va, vb)
 
 
 def test_svd_identity():
-    res = svd(np.eye(2))
-    assert np.allclose(res.singular_values, [1.0, 1.0])
+    s, _, _ = svd(np.eye(2))
+    assert np.allclose(s, [1.0, 1.0])
 
 
 def test_svd_column_vector():
-    res = svd(np.array([[3.0], [4.0]]))
-    assert np.allclose(res.singular_values, [5.0])
+    s, _, _ = svd(np.array([[3.0], [4.0]]))
+    assert np.allclose(s, [5.0])
 
 
 def test_svd_squared_values_match_gram_eigenvalues():
@@ -90,9 +89,9 @@ def test_svd_squared_values_match_gram_eigenvalues():
         for j in range(4):
             gram[i, j] = sum(a[k, i].conjugate() * a[k, j] for k in range(3))
     expected = np.sort(np.linalg.eigvalsh(gram))[::-1]
-    res = svd(a)
-    k = res.singular_values.size
-    assert np.max(np.abs(res.singular_values**2 - expected[:k])) < 1e-10
+    s, _, _ = svd(a)
+    k = s.size
+    assert np.max(np.abs(s**2 - expected[:k])) < 1e-10
     assert np.max(np.abs(expected[k:])) < 1e-10
 
 
@@ -100,18 +99,18 @@ def test_svd_squared_values_match_gram_eigenvalues():
 def test_svd_reconstruction_and_orthonormality(shape):
     rng = np.random.default_rng(shape[0] * 100 + shape[1])
     a = random_complex(shape, rng)
-    res = svd(a)
+    s, u, v = svd(a)
     m, n = shape
     k = min(m, n)
     # thin: k paired columns on each side, no m x m or n x n basis
-    assert res.left_vectors.shape == (m, k)
-    assert res.right_vectors.shape == (n, k)
-    rebuilt = (res.left_vectors * res.singular_values) @ res.right_vectors.conj().T
+    assert u.shape == (m, k)
+    assert v.shape == (n, k)
+    rebuilt = (u * s) @ v.conj().T
     assert np.max(np.abs(rebuilt - a)) <= 1e-10
-    assert np.max(np.abs(res.left_vectors.conj().T @ res.left_vectors - np.eye(k))) <= 1e-10
-    assert np.max(np.abs(res.right_vectors.conj().T @ res.right_vectors - np.eye(k))) <= 1e-10
-    assert np.all(np.diff(res.singular_values) <= 0)
-    assert np.all(res.singular_values >= 0)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(k))) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(k))) <= 1e-10
+    assert np.all(np.diff(s) <= 0)
+    assert np.all(s >= 0)
 
 
 def test_numerical_rank_threshold_rule():
@@ -188,7 +187,7 @@ def test_eigendecompose_phases_match_scalar_loop(n):
     v = np.ascontiguousarray(v[:, ::-1])
     for k in range(n):
         v[:, k] *= _scalar_phase(v[:, k])
-    assert np.array_equal(_bits(hermitian_eigendecompose(h).eigenvectors), _bits(v))
+    assert np.array_equal(_bits(hermitian_eigendecompose(h)[1]), _bits(v))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 2)])
@@ -201,6 +200,97 @@ def test_svd_phases_match_scalar_loop(shape):
         ph = _scalar_phase(u[:, i])
         u[:, i] *= ph
         v[:, i] *= ph
-    res = svd(a)
-    assert np.array_equal(_bits(res.left_vectors), _bits(u))
-    assert np.array_equal(_bits(res.right_vectors), _bits(v))
+    _, got_u, got_v = svd(a)
+    assert np.array_equal(_bits(got_u), _bits(u))
+    assert np.array_equal(_bits(got_v), _bits(v))
+
+
+def _lex_key(v):
+    return tuple(np.stack([v.real, v.imag], axis=1).ravel().tolist())
+
+
+def _scalar_tie_order(values, blocks):
+    # reference: scan runs of exactly equal values and sort each run by a
+    # stable, descending sort of the primary block's (re, im) key tuples
+    n, start = len(values), 0
+    while start < n:
+        stop = start + 1
+        while stop < n and values[stop] == values[start]:
+            stop += 1
+        if stop - start > 1:
+            order = sorted(range(start, stop), key=lambda k: _lex_key(blocks[0][:, k]),
+                           reverse=True)
+            for block in blocks:
+                block[:, start:stop] = block[:, order]
+        start = stop
+
+
+def test_order_ties_matches_scalar_loop_bit_for_bit():
+    from trischmidt.linalg import _order_ties
+
+    rng = np.random.default_rng(46)
+    for _ in range(300):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        values = np.sort(rng.choice([2.0, 1.0, 0.0, -0.0], size=k))[::-1].copy()
+        # entries from a small set, so keys tie on many leading components
+        primary = (rng.integers(-1, 2, (n, k)) + 1j * rng.integers(-1, 2, (n, k))) * 0.5
+        primary[:, rng.random(k) < 0.2] = 0.0  # zero columns
+        primary[:, rng.random(k) < 0.2] = primary[:, :1]  # duplicate columns
+        primary[rng.random((n, k)) < 0.2] *= -1.0  # signed zeros
+        paired = random_complex((3, k), rng)
+        expected = [primary.copy(), paired.copy()]
+        _scalar_tie_order(values, expected)
+        got = [primary.copy(), paired.copy()]
+        _order_ties(values, got)
+        for a, b in zip(got, expected):
+            assert np.array_equal(_bits(a), _bits(b))
+
+
+def _ghz_rho():
+    from trischmidt import ghz_state, reduced_density
+
+    return reduced_density(ghz_state((3, 3, 3)), (1, 2))  # 1/3 three times, then zeros
+
+
+TIED = {
+    "ghz-rho": _ghz_rho(),
+    "identity-block": np.diag([1.0, 1.0, 1.0, 0.5, 0.5, 0.0]).astype(complex),
+    "bell": np.eye(2) / np.sqrt(2),
+    "zero-columns": np.array([[1.0, 0, 0, 0], [0, 0, 1j, 0], [0, 0, 0, 0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIED))
+def test_svd_tie_order_matches_scalar_loop(name):
+    from trischmidt.linalg import _column_phases
+
+    a = np.asarray(TIED[name], dtype=complex)
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    u, v = np.ascontiguousarray(u), np.ascontiguousarray(vh.conj().T)
+    ph = _column_phases(u)
+    u *= ph
+    v *= ph
+    assert np.any(s[1:] == s[:-1])  # the input has exact ties
+    _scalar_tie_order(s, [u, v])
+    got_s, got_u, got_v = svd(a)
+    for got, expected in ((got_s, s), (got_u, u), (got_v, v)):
+        assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.mark.parametrize("name", ["ghz-rho", "identity-block", "bell"])
+def test_eigendecompose_tie_order_matches_scalar_loop(name):
+    from trischmidt.linalg import _column_phases, _eigh_canonical
+
+    a = np.asarray(TIED[name], dtype=complex)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
+    v *= _column_phases(v)
+    assert np.any(w[1:] == w[:-1])  # the input has exact ties
+    kept = numerical_rank(np.maximum(w, 0.0))
+    retained = v[:, :kept].copy()
+    _scalar_tie_order(w, [v])
+    _scalar_tie_order(w[:kept], [retained])
+    for got, expected in ((hermitian_eigendecompose(a), (w, v)),
+                          (_eigh_canonical(a, DEFAULT_TOL, retained=True), (w, retained))):
+        for x, y in zip(got, expected):
+            assert np.array_equal(_bits(x), _bits(y))

@@ -16,8 +16,7 @@ PUBLIC = {
     "reduced_density",
     # bipartite engine and linear algebra
     "BipartiteSchmidt", "schmidt_decompose", "entanglement_entropy", "entropy_bits",
-    "Tolerances", "DEFAULT_TOL", "HermitianEigenResult", "SvdResult",
-    "hermitian_eigendecompose", "svd", "numerical_rank",
+    "Tolerances", "DEFAULT_TOL", "hermitian_eigendecompose", "svd", "numerical_rank",
     # generators
     "ghz_state", "w_state", "product_state", "schmidt_state", "haar_state", "haar_unitary",
     # errors
@@ -27,7 +26,7 @@ PUBLIC = {
 
 
 def test_all_is_the_documented_surface():
-    assert len(trischmidt.__all__) == len(PUBLIC) == 41
+    assert len(trischmidt.__all__) == len(PUBLIC) == 39
     assert set(trischmidt.__all__) == PUBLIC
     for name in trischmidt.__all__:
         assert getattr(trischmidt, name) is not None, name

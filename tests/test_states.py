@@ -106,6 +106,9 @@ def test_partial_inner_product_requires_unit_vector():
     ghz = ghz_state((2, 2, 2))
     with pytest.raises(NotNormalized):
         partial_inner_product(ghz, 0, [2.0, 0.0])
+    for vector in ([np.nan, 0.0], [1.0, np.nan]):  # a NaN norm is no unit norm
+        with pytest.raises(NotNormalized):
+            partial_inner_product(ghz, 0, vector)
     with pytest.raises(DimensionMismatch):
         partial_inner_product(ghz, 0, [1.0, 0.0, 0.0])
 
@@ -159,6 +162,8 @@ def test_reduced_density_rejects_bad_subsets():
         reduced_density(ghz, ())
     with pytest.raises(DimensionMismatch):
         reduced_density(ghz, (0, 1, 2))
+    with pytest.raises(DimensionMismatch):
+        reduced_density(ghz, 0)  # a bare index, not a collection
 
 
 def test_apply_local_unitary_identity_and_flip():

@@ -553,11 +553,11 @@ def test_analyze_eigenbasis_is_the_checked_eigendecomposition_bit_for_bit(state)
     # analyze skips the Hermitian checks and canonicalizes only the kept columns
     for pivot in range(3):
         analysis = analyze(state, pivot=pivot)
-        eig = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)))
+        w, v = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)))
         r = analysis.pivot_basis.shape[1]
-        assert r == linalg.numerical_rank(np.maximum(eig.eigenvalues, 0.0))
-        assert np.array_equal(analysis.pivot_basis, eig.eigenvectors[:, :r])
-        assert np.array_equal(analysis.pivot_spectrum, eig.eigenvalues)
+        assert r == linalg.numerical_rank(np.maximum(w, 0.0))
+        assert np.array_equal(analysis.pivot_basis, v[:, :r])
+        assert np.array_equal(analysis.pivot_spectrum, w)
 
 
 def test_low_rank_pivot_excludes_zero_slices():

@@ -10,16 +10,17 @@ imported) for each seed and each pivot (default, 0, 1, 2), and writes one
 JSON record per check: the verdict, the ``degenerate`` flag, the exception
 type, ``slice_ranks``, ``repr(max_residual)``, the weights, and SHA-256
 digests of the bytes of the verdict's analysis' ``pivot_basis`` and
-``slice_values``, so that a change can show that it keeps the eigenbasis
-bit for bit.  Seeds 1-8 give 5248 records.  ``--src`` picks the trischmidt
-sources to digest, so two versions of the program can be compared on the
-same inputs.  One BLAS thread is pinned, as in the benchmark, because the
-last bits depend on it.
+``slice_values`` and of an accepted decomposition's ``basis_a``,
+``basis_b`` and ``basis_c`` together, so that a change can show that it
+keeps the eigenbasis and the factor bases bit for bit.  Seeds 1-8 give
+5248 records.  ``--src`` picks the trischmidt sources to digest, so two
+versions of the program can be compared on the same inputs.  One BLAS
+thread is pinned, as in the benchmark, because the last bits depend on it.
 
 ``--compare A B`` prints every record whose verdict, flag, exception type,
-slice ranks or basis and value digests differ, and the largest deviation
-and count of changed values of the weights and of ``max_residual``.  It
-exits with 1 when some record differs.
+slice ranks or basis, value and factor-basis digests differ, and the
+largest deviation and count of changed values of the weights and of
+``max_residual``.  It exits with 1 when some record differs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-generic", "decide-degenerate")
 PIVOTS = (None, 0, 1, 2)
 EXACT = ("label", "decomposable", "degenerate", "error", "slice_ranks", "basis_sha256",
-         "values_sha256")
+         "values_sha256", "bases_sha256")
 
 
 def _hashes(analysis) -> dict:
@@ -47,6 +48,16 @@ def _hashes(analysis) -> dict:
                                 ("values", analysis.slice_values))}
 
 
+def _bases_hash(decomposition):
+    """SHA-256 of the bytes of an accepted decomposition's three factor bases."""
+    if decomposition is None:
+        return None
+    h = hashlib.sha256()
+    for basis in (decomposition.basis_a, decomposition.basis_b, decomposition.basis_c):
+        h.update(basis.tobytes())
+    return h.hexdigest()
+
+
 def _record(tripartite, errors, state, pivot) -> dict:
     try:
         verdict = tripartite.check(state, pivot=pivot)
@@ -54,14 +65,17 @@ def _record(tripartite, errors, state, pivot) -> dict:
         ranks = list(exc.analysis.slice_ranks) if exc.analysis else None
         return dict(decomposable=None, degenerate=True, error="Indeterminate",
                     slice_ranks=ranks, max_residual=repr(exc.max_residual), weights=None,
-                    **_hashes(exc.analysis))
+                    bases_sha256=None, **_hashes(exc.analysis))
     except errors.TrischmidtError as exc:
         return dict(decomposable=None, degenerate=None, error=type(exc).__name__,
-                    slice_ranks=None, max_residual=None, weights=None, **_hashes(None))
-    weights = verdict.decomposition.weights.tolist() if verdict.decomposable else None
+                    slice_ranks=None, max_residual=None, weights=None, bases_sha256=None,
+                    **_hashes(None))
+    accepted = verdict.decomposition if verdict.decomposable else None
     return dict(decomposable=verdict.decomposable, degenerate=verdict.degenerate, error=None,
                 slice_ranks=list(verdict.analysis.slice_ranks),
-                max_residual=repr(verdict.max_residual), weights=weights,
+                max_residual=repr(verdict.max_residual),
+                weights=accepted.weights.tolist() if accepted else None,
+                bases_sha256=_bases_hash(accepted),
                 **_hashes(verdict.analysis))
 
 
