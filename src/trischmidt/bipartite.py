@@ -34,11 +34,7 @@ class BipartiteSchmidt:
 
 
 def _as_state_matrix(v) -> np.ndarray:
-    m = np.asarray(v, dtype=np.complex128)
-    if m.ndim != 2 or m.size == 0:
-        raise DimensionMismatch(f"expected a 2-D amplitude matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise DimensionMismatch("amplitude matrix contains non-finite entries")
+    m = linalg.as_complex_matrix(v)
     if not m.any():
         raise ZeroVector("cannot decompose the zero vector")
     return m

@@ -57,10 +57,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dump_json(obj) -> str:
-    """Serialize with 17-significant-digit floats and stable key order."""
+    """Serialize with 17-significant-digit floats and stable key order; a numpy
+    array goes row by row, each row in bulk, complex entries as ``[re, im]``."""
     if isinstance(obj, dict):
         items = (f"{json.dumps(str(key))}: {_dump_json(value)}" for key, value in obj.items())
         return "{" + ", ".join(items) + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim > 1:
+            return "[" + ", ".join(map(_dump_json, obj)) + "]"
+        if not np.isfinite(obj).all():
+            raise ValueError("non-finite number in output")
+        if np.iscomplexobj(obj):
+            numbers = map("[{:.17g}, {:.17g}]".format, obj.real.tolist(), obj.imag.tolist())
+        else:
+            numbers = map("{:.17g}".format, obj.tolist())
+        return "[" + ", ".join(numbers) + "]"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dump_json(value) for value in obj) + "]"
     if isinstance(obj, bool) or obj is None or isinstance(obj, str):
@@ -74,12 +85,8 @@ def _dump_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _pairs(values: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
-
-
 def state_payload(state: PureState) -> dict:
-    return {"dims": list(state.dims), "amplitudes": _pairs(state.amplitudes)}
+    return {"dims": list(state.dims), "amplitudes": state.amplitudes}
 
 
 def parse_state_payload(payload) -> PureState:
@@ -140,16 +147,14 @@ def _verdict(state: PureState, tol: Tolerances, pivot: int | None = None) -> tup
         verdict = check(state, tol, pivot=pivot)
     except Indeterminate as exc:
         return None, True, exc.max_residual, None, exc.analysis
-    sd = verdict.decomposition
-    weights = [float(w) for w in sd.weights] if sd else None
+    weights = verdict.decomposition.weights if verdict.decomposition else None
     return verdict.decomposable, verdict.degenerate, verdict.max_residual, weights, verdict.analysis
 
 
 def _spectra_sections(state: PureState, tol: Tolerances) -> dict:
     report = spectrum_report(state, tol)
     single = {"A": report.spectrum_a, "B": report.spectrum_b, "C": report.spectrum_c}
-    spectra = {name: [float(x) for x in s] for name, s in single.items()}
-    spectra["BC"] = [float(x) for x in report.spectrum_bc]
+    spectra = {**single, "BC": report.spectrum_bc}
     flags = {
         "A_B": report.equal_ab,
         "A_C": report.equal_ac,
@@ -182,12 +187,8 @@ def _cmd_gen(args) -> int:
             rule = "does not apply to" if given else "is required for"
             print(f"trischmidt gen: error: --{option} {rule} kind '{kind}'", file=sys.stderr)
             return EXIT_USAGE
-    if kind == "schmidt":
-        state = generate.schmidt_state(dims, args.weights, args.seed)
-    elif kind == "haar":
-        state = generate.haar_state(dims, args.seed)
-    else:
-        state = getattr(generate, f"{kind}_state")(dims)  # ghz_state, w_state, product_state
+    options = {option: getattr(args, option) for option in _GEN_KINDS[kind]}
+    state = getattr(generate, f"{kind}_state")(dims, **options)
     text = _dump_json(state_payload(state)) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -230,10 +231,9 @@ def _cmd_spectra(args) -> int:
 def _cmd_decompose_bipartite(args) -> int:
     state, report = _load(args, 2)
     sd = schmidt_decompose(state.tensor)
-    columns = range(sd.coefficients.size)
-    report["coefficients"] = [float(c) for c in sd.coefficients]
-    report["left_basis"] = [_pairs(sd.left_basis[:, i]) for i in columns]
-    report["right_basis"] = [_pairs(sd.right_basis[:, i]) for i in columns]
+    report["coefficients"] = sd.coefficients
+    report["left_basis"] = sd.left_basis.T  # one row per basis vector
+    report["right_basis"] = sd.right_basis.T
     report["input_norm"] = sd.input_norm
     # validate bounded the norm, so the Schmidt coefficients are the
     # spectrum of either reduced density matrix
@@ -244,17 +244,14 @@ def _cmd_decompose_bipartite(args) -> int:
 
 def _parse_dims(text: str) -> list[int]:
     try:
-        dims = [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"dims must be comma-separated integers: {exc}")
-    if not dims:
-        raise argparse.ArgumentTypeError("dims must not be empty")
-    return dims
 
 
 def _parse_weights(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"weights must be comma-separated numbers: {exc}")
 

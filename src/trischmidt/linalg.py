@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import NoConvergence, NotHermitian
+from .exceptions import DimensionMismatch, NoConvergence, NotHermitian
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a nonempty 2-D complex128 array with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
+        raise DimensionMismatch(f"expected a nonempty 2-D matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
+        raise DimensionMismatch("matrix entries must be finite")
     return m
 
 

@@ -7,13 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from trischmidt import Indeterminate, PureState, ghz_state, w_state
+from trischmidt import Indeterminate, PureState, ghz_state, haar_state, w_state
 from trischmidt.cli import (
     EXIT_DATA,
     EXIT_DECOMPOSABLE,
     EXIT_INDETERMINATE,
     EXIT_NOT_DECOMPOSABLE,
     EXIT_USAGE,
+    _dump_json,
     load_state_file,
     main,
     parse_state_payload,
@@ -29,8 +30,6 @@ def run_cli(args, capsys):
 
 def write_state(tmp_path, name, state):
     path = tmp_path / name
-    from trischmidt.cli import _dump_json
-
     path.write_text(_dump_json(state_payload(state)) + "\n", encoding="utf-8")
     return str(path)
 
@@ -46,10 +45,39 @@ def state_files(tmp_path):
 
 
 def test_state_payload_round_trip():
-    state = ghz_state((2, 2, 2))
-    rebuilt = parse_state_payload(json.loads(json.dumps(state_payload(state))))
-    assert rebuilt.dims == state.dims
-    assert np.array_equal(rebuilt.amplitudes, state.amplitudes)
+    # the payload holds the amplitude array itself, which only _dump_json writes
+    for state in (ghz_state((2, 2, 2)), haar_state((2, 3, 4), seed=5)):
+        rebuilt = parse_state_payload(json.loads(_dump_json(state_payload(state))))
+        assert rebuilt.dims == state.dims
+        assert np.array_equal(rebuilt.amplitudes, state.amplitudes)
+
+
+# signed zero, the smallest subnormal, a huge value, and values .17g must not round
+_WRITER_VALUES = [-0.0, 5e-324, 1e308, 1.0, 0.1, 1 / 3]
+
+
+def test_dump_json_writes_arrays_as_the_scalar_branch_writes_floats():
+    real = np.array(_WRITER_VALUES)
+    pairs = [complex(re, im) for re, im in zip(_WRITER_VALUES, _WRITER_VALUES[::-1])]
+    rows = np.array([pairs, pairs[::-1]])
+    assert _dump_json(real) == _dump_json([float(x) for x in _WRITER_VALUES])
+    assert _dump_json(np.array(pairs)) == _dump_json([[z.real, z.imag] for z in pairs])
+    assert _dump_json(rows) == _dump_json([[[z.real, z.imag] for z in row] for row in rows.tolist()])
+    assert _dump_json(np.array([-0.0, 5e-324])) == "[-0, 4.9406564584124654e-324]"
+    assert _dump_json(np.zeros(0)) == "[]"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("place", ["real", "re", "im", "row"])
+def test_dump_json_rejects_non_finite_array_entries(bad, place):
+    array = {
+        "real": np.array([1.0, bad]),
+        "re": np.array([1j, complex(bad, 0.0)]),
+        "im": np.array([1j, complex(0.0, bad)]),
+        "row": np.array([[1j, 1.0], [1.0, complex(0.0, bad)]]),
+    }[place]
+    with pytest.raises(ValueError, match="non-finite number in output"):
+        _dump_json(array)
 
 
 def test_gen_ghz_amplitudes(tmp_path, capsys):
@@ -86,6 +114,23 @@ def test_gen_requires_seed_for_random_kinds(capsys):
     code, _, err = run_cli(["gen", "schmidt", "--dims", "2,2,2", "--seed", "1"], capsys)
     assert code == EXIT_USAGE
     assert "--weights" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ghz", "--dims", "2,,2"], "dims must be comma-separated integers"),
+    (["ghz", "--dims", "2,2,"], "dims must be comma-separated integers"),
+    (["ghz", "--dims", ""], "dims must be comma-separated integers"),
+    (["schmidt", "--dims", "2,2,2", "--weights", "0.5,,0.5", "--seed", "1"],
+     "weights must be comma-separated numbers"),
+    (["schmidt", "--dims", "2,2,2", "--weights", "0.5,0.5,", "--seed", "1"],
+     "weights must be comma-separated numbers"),
+])
+def test_gen_empty_field_is_usage_error(argv, message, capsys):
+    # an empty field between or after commas is a typo, not a value to drop
+    code, out, err = run_cli(["gen", *argv], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
 
 
 def test_gen_bad_weights_is_data_error(capsys):
@@ -426,8 +471,6 @@ def test_gen_check_pipeline_in_process(tmp_path, capsys):
 
 def test_load_state_file_from_stdin(tmp_path, capsys, monkeypatch):
     import io
-
-    from trischmidt.cli import _dump_json
 
     text = _dump_json(state_payload(w_state((2, 2, 2)))) + "\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))

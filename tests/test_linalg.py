@@ -3,10 +3,12 @@ import pytest
 
 from trischmidt import (
     DEFAULT_TOL,
+    DimensionMismatch,
     NotHermitian,
     Tolerances,
     hermitian_eigendecompose,
     numerical_rank,
+    schmidt_decompose,
     svd,
 )
 
@@ -149,6 +151,25 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(degen_rel=1.5)
     assert 0 < DEFAULT_TOL.rank_rel < 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: svd([[np.nan]]),
+        lambda: svd(np.zeros((0, 0))),
+        lambda: svd(np.ones(3)),
+        lambda: hermitian_eigendecompose(np.zeros((0, 0))),
+        lambda: hermitian_eigendecompose([[1.0, np.inf], [np.inf, 1.0]]),
+        lambda: schmidt_decompose([[np.inf]]),
+        lambda: schmidt_decompose(np.zeros((2, 0))),
+    ],
+    ids=["svd-nan", "svd-empty", "svd-1d", "eigh-empty", "eigh-inf", "schmidt-inf", "schmidt-empty"],
+)
+def test_matrix_input_faults_raise_dimension_mismatch(call):
+    # one rule for 2-D, nonempty and finite input, inside the package's error hierarchy
+    with pytest.raises(DimensionMismatch):
+        call()
 
 
 def _scalar_phase(v):

@@ -12,9 +12,10 @@ the JSON literal ``NaN``, truncated, an amplitude that is a 401-digit
 integer, arrays nested 100 000 deep) and five two-party states (Bell and
 Haar up to 2x4096).  It then runs ``check``, ``check --all-pivots`` and
 ``spectra`` on the three-party and bad files, and ``decompose-bipartite``
-on the two-party files, plus five valid ``gen`` runs (ghz, w, product,
-schmidt and haar, seeded where the kind takes a seed) that pin the bytes of
-generated state files.  Each run is its own ``python -m trischmidt`` process
+on the two-party files, plus six valid ``gen`` runs (ghz, w, product,
+schmidt, and haar at 4x4x4 and 12x12x12, seeded where the kind takes a
+seed) that pin the bytes of generated state files, and two ``gen`` runs
+with an empty field in ``--dims`` or ``--weights``.  Each run is its own ``python -m trischmidt`` process
 with one BLAS thread, and writes one JSON record: the command, the exit
 code, the SHA-256 of stdout and of stderr, and stdout itself.
 ``--src`` picks the trischmidt sources to run, so two versions of the
@@ -47,6 +48,9 @@ GEN_RUNS = (
     ("gen", "product", "--dims", "2,3,4"),
     ("gen", "schmidt", "--dims", "3,4,5", "--weights", "0.5,0.3,0.2", "--seed", "42"),
     ("gen", "haar", "--dims", "4,4,4", "--seed", "7"),
+    ("gen", "haar", "--dims", "12,12,12", "--seed", "11"),
+    ("gen", "ghz", "--dims", "2,,2"),
+    ("gen", "schmidt", "--dims", "2,2,2", "--weights", "0.5,,0.5", "--seed", "1"),
 )
 
 
