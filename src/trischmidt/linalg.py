@@ -115,12 +115,21 @@ def hermitian_eigendecompose(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarr
     return _eigh_canonical((m + m.conj().T) / 2.0, tol)
 
 
-def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of an exactly Hermitian matrix, unchecked, in the module's conventions."""
+def _lapack(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` for a ``numpy.linalg`` routine; LAPACK failure raises NoConvergence.
+
+    Every raw ``np.linalg.svd`` and ``np.linalg.eigh`` call in the package goes
+    through here, with ``fn`` looked up by the caller at call time.
+    """
     try:
-        w, v = np.linalg.eigh(m)
+        return fn(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def _eigh_canonical(m, tol: Tolerances, retained: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of an exactly Hermitian matrix, unchecked, in the module's conventions."""
+    w, v = _lapack(np.linalg.eigh, m)
     w = np.ascontiguousarray(w[::-1])
     # ``retained`` keeps the eigenvectors above the rank cutoff, which no exact tie straddles
     kept = numerical_rank(np.maximum(w, 0.0), tol) if retained else len(w)
@@ -138,11 +147,7 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     by a common phase so each left vector's largest-magnitude entry is real
     positive.
     """
-    m = as_complex_matrix(a)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    u, s, vh = _lapack(np.linalg.svd, as_complex_matrix(a), full_matrices=False)
     u = np.ascontiguousarray(u)
     v = np.ascontiguousarray(vh.conj().T)
     ph = _column_phases(u)

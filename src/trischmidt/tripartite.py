@@ -23,13 +23,15 @@ differ).  ``check`` therefore verifies the factor families as well, so
 that an accepted verdict always comes with a valid decomposition.
 
 A degenerate pivot spectrum makes the eigenbasis non-unique, so a
-rank-one slicing may only exist after rotating inside each degenerate
-eigenspace: exactly when its slices are simultaneously diagonal in
+rank-one slicing may only exist in some other basis of the retained
+span: exactly when all retained slices are simultaneously diagonal in
 shared orthonormal factor bases, which the SVD of one generic combination
-of the slices exposes (``_shared_factors``).  ``refine_degenerate`` reads
-the rotation off the diagonals and ``SliceAnalysis.s_spectrum`` sums
-them.  When that fails and no sound rejection applies, ``check`` raises
-:class:`~trischmidt.exceptions.Indeterminate` instead of guessing.
+of them exposes (``_shared_factors``).  ``refine_degenerate`` reads the
+rotation off the diagonals and turns the pivot basis with the slices, so
+a refined ``pivot_basis`` is a rotated basis of the retained span, not a
+set of computed eigenvectors.  When that fails and no sound rejection
+applies, ``check`` raises :class:`~trischmidt.exceptions.Indeterminate`
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
-# Unused here, but kept importable by name: the benchmark tracer wraps it.
-from .bipartite import schmidt_decompose  # noqa: F401
-from .exceptions import DimensionMismatch, Indeterminate, NoConvergence, NotNormalized, RankNotOne
+from .exceptions import DimensionMismatch, Indeterminate, NotNormalized, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, _check_party, _gram, _unfold, validate
-# Unused here, but kept importable by name: the benchmark tracer wraps them.
+
+# Unused here, but kept importable by name because the benchmark tracer wraps
+# them, as it wraps ``_shared_basis_spectrum`` below.
+from .bipartite import schmidt_decompose  # noqa: F401
 from .states import partial_inner_product, reduced_density  # noqa: F401
 
 PARTY_NAMES = ("A", "B", "C")
@@ -54,19 +57,18 @@ PARTY_NAMES = ("A", "B", "C")
 
 @dataclass(frozen=True, eq=False)
 class SliceAnalysis:
-    """Eigenbasis slicing of a tripartite state and the singular values of its slices.
+    """Slicing of a tripartite state along a pivot basis, and the singular values of its slices.
 
     ``pivot_spectrum`` is the full descending spectrum of the pivot's
     reduced density matrix; slices are kept only for eigenvalues above
     the rank cutoff (``pivot_basis`` has one column per retained slice).
+    ``analyze`` takes the eigenvectors as ``pivot_basis``; after
+    ``refine_degenerate`` it is a rotated basis of the same retained span.
     ``slices`` stacks them (r x d1 x d2, over the two remaining parties);
     row i of ``slice_values`` (r x min(d1, d2)) holds slice i's descending
     singular values.  Column i of ``left_factors`` (d1 x r) and
     ``right_factors`` (d2 x r) are its leading factors, found by power steps
     on first access and meaningful only when slice i has rank one.
-    ``s_spectrum`` holds the per-mode sums of the slice Schmidt weights
-    accumulated in a common slice basis; it is None when no common basis
-    exists within tolerance; it is computed on first access, with ``tol``.
     """
 
     dims: tuple[int, ...]
@@ -76,12 +78,6 @@ class SliceAnalysis:
     slices: np.ndarray
     slice_values: np.ndarray
     slice_ranks: tuple[int, ...]
-    tol: Tolerances
-    not_refinable: bool = False
-
-    @cached_property
-    def s_spectrum(self) -> np.ndarray | None:
-        return _shared_basis_spectrum(self.slices, self.tol)
 
     _factors = cached_property(lambda self: _power_step_factors(self.slices))
     left_factors = property(lambda self: self._factors[0])
@@ -159,10 +155,7 @@ def degeneracy_groups(spectrum, tol: Tolerances = DEFAULT_TOL) -> list[list[int]
 
 def _slice_fields(slices: np.ndarray, tol: Tolerances) -> dict:
     """``SliceAnalysis`` fields of a slice stack: its batched singular values and ranks."""
-    try:
-        values = np.linalg.svd(slices, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    values = linalg._lapack(np.linalg.svd, slices, compute_uv=False)
     ranks = np.count_nonzero(values > tol.rank_rel * values[:, :1], axis=1)
     return dict(slices=slices, slice_values=values, slice_ranks=tuple(ranks.tolist()))
 
@@ -201,7 +194,6 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
         pivot_party=pivot,
         pivot_basis=basis,
         pivot_spectrum=spectrum,
-        tol=tol,
         **_slice_fields(slices, tol),
     )
 
@@ -218,7 +210,8 @@ def _shared_factors(slices, tol: Tolerances):
     hold all the slices' mass.  ``diag[i]`` is the diagonal of slice i.
     """
     stack = np.asarray(slices)
-    u, s, vh = np.linalg.svd(np.tensordot(_mix(len(stack)), stack, axes=1), full_matrices=False)
+    mixed = np.tensordot(_mix(len(stack)), stack, axes=1)
+    u, s, vh = linalg._lapack(np.linalg.svd, mixed, full_matrices=False)
     k = linalg.numerical_rank(s, tol)
     y, z = u[:, :k], vh[:k].conj().T
     d = y.conj().T @ stack @ z
@@ -242,7 +235,7 @@ def _mix(n: int) -> np.ndarray:
 
 
 def _shared_basis_spectrum(slices, tol: Tolerances) -> np.ndarray | None:
-    """Per-mode sums of slice Schmidt weights, when one slice basis fits all."""
+    """Per-mode sums of slice Schmidt weights, when one slice basis fits all; tracer-only."""
     shared = _shared_factors(slices, tol)
     if shared is None:
         return None
@@ -269,64 +262,31 @@ def _configuration_valid(analysis: SliceAnalysis, tol: Tolerances) -> bool:
     return _families_orthonormal(analysis.left_factors, analysis.right_factors, tol)
 
 
-def _refine_block(block_slices: np.ndarray, tol: Tolerances):
-    """Rotate one degenerate eigenspace to a rank-one orthogonal slicing.
+def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> SliceAnalysis | None:
+    """Rotate the retained slices to a rank-one slicing, or None when none exists.
 
-    Such a slicing exists exactly when the block slices are simultaneously
-    diagonal in shared factor bases with one mode per slice.  Then
-    ``block[i] = sum_m diag[i, m] y_m z_m^H``, where ``diag`` is a multiple
-    of a unitary (the slices are orthogonal with equal norms), and its
-    conjugate transpose rotates the slices onto the rank-one terms.
-    Returns ``(coeff, refined_slices)`` with
-    ``refined[m] = sum_i coeff[m, i] * block_slices[i]`` and unitary
-    ``coeff``, or None when no shared bases exist.
+    Returns the input unchanged when every slice already has rank one.
+    Otherwise a rank-one orthogonal slicing exists in the span of the slices
+    exactly when they are simultaneously diagonal in shared factor bases with
+    one mode per slice (``_shared_factors``).  Then
+    ``slices[i] = sum_m diag[i, m] y_m z_m^H``, where the rows of ``diag`` are
+    orthogonal (the slices are), and the closest unitary to ``diag^H``
+    rotates the slices onto the rank-one terms.  The pivot basis turns with
+    them, ``u~_m = sum_i conj(coeff[m, i]) u_i``, so that each rotated basis
+    vector still gives its rotated slice by the partial inner product.
     """
-    shared = _shared_factors(block_slices, tol)
-    if shared is None or shared[2].shape[1] != len(block_slices):
-        return None
-    u, _, vh = np.linalg.svd(shared[2].conj().T)
-    coeff = u @ vh  # closest unitary: keeps the new slicing an exact rotation
-    return coeff, np.tensordot(coeff, block_slices, axes=1)
-
-
-def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> SliceAnalysis:
-    """Rotate degenerate eigenspaces toward a rank-one slicing.
-
-    Each degenerate block with a slice of rank above one is rotated by
-    simultaneously diagonalizing its slices (``_refine_block``).  Blocks
-    whose slices are already rank one are left alone (when a rank-one
-    orthogonal slicing exists in a block's span, an all-rank-one slicing
-    already consists of its members).  Returns the rotated analysis, or
-    the input unchanged when nothing needed rotating, or an analysis
-    flagged ``not_refinable`` when some block's slices share no factor
-    bases.
-    """
-    groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
-    new_basis = analysis.pivot_basis.copy()
-    new_slices = analysis.slices.copy()
-    changed = False
-    failed = False
-    for group in groups:
-        if len(group) < 2 or all(analysis.slice_ranks[i] == 1 for i in group):
-            continue
-        result = _refine_block(analysis.slices[group], tol)
-        if result is None:
-            failed = True
-            continue
-        coeff, refined = result
-        new_slices[group] = refined
-        # u~_m = sum_i conj(coeff[m, i]) u_i pairs the rotated basis with
-        # the rotated slices through the partial inner product.
-        new_basis[:, group] = analysis.pivot_basis[:, group] @ coeff.conj().T
-        changed = True
-    if not changed and not failed:
+    if all(rank == 1 for rank in analysis.slice_ranks):
         return analysis
+    slices = analysis.slices
+    shared = _shared_factors(slices, tol)
+    if shared is None or shared[2].shape[1] != len(slices):
+        return None
+    u, _, vh = linalg._lapack(np.linalg.svd, shared[2].conj().T)
+    coeff = u @ vh  # closest unitary: keeps the new slicing an exact rotation
     return replace(
         analysis,
-        pivot_basis=new_basis,
-        tol=tol,
-        not_refinable=failed,
-        **_slice_fields(new_slices, tol),
+        pivot_basis=analysis.pivot_basis @ coeff.conj().T,
+        **_slice_fields(np.tensordot(coeff, slices, axes=1), tol),
     )
 
 
@@ -334,7 +294,7 @@ def construct(analysis: SliceAnalysis) -> TripartiteSchmidt:
     """Assemble the decomposition from an all-rank-one slicing.
 
     Weights are the squared top singular values (the squared slice
-    norms); bases are the pivot eigenvectors and the slice factor pairs,
+    norms); bases are the pivot basis and the slice factor pairs,
     sorted by descending weight.  Phases are normalized so the largest
     entries of the A and B vectors are real positive, with the leftover
     phase absorbed by the C vector.
@@ -380,6 +340,13 @@ def _spectra_match(p, q, tol: Tolerances, atol: float) -> bool:
     return bool(np.max(np.abs(p - q), initial=0.0) <= atol)
 
 
+def _verdict(analysis: SliceAnalysis, degenerate: bool, accept: bool = False) -> Verdict:
+    """The verdict on ``analysis``, constructed when accepted; the residual is its worst slice."""
+    residual = float(np.max(analysis.slice_values[:, 1:], initial=0.0))
+    decomposition = construct(analysis) if accept else None
+    return Verdict(accept, decomposition, analysis, degenerate, residual)
+
+
 def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> Verdict:
     """Decide whether ``state`` admits a single-sum decomposition.
 
@@ -398,28 +365,19 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
         raise DimensionMismatch(f"pivot {PARTY_NAMES[analysis.pivot_party]} has dimension 1")
     groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
     degenerate = any(len(g) > 1 for g in groups)
-
-    final = analysis
-    accepted = _configuration_valid(final, tol)
-    if not accepted and degenerate:
-        refined = refine_degenerate(analysis, tol)
-        if not refined.not_refinable and _configuration_valid(refined, tol):
-            final = refined
-            accepted = True
-
-    residual = float(np.max(final.slice_values[:, 1:], initial=0.0))
-    if accepted:
-        return Verdict(True, construct(final), final, degenerate, residual)
+    if _configuration_valid(analysis, tol):
+        return _verdict(analysis, degenerate, accept=True)
     if not degenerate:
-        return Verdict(False, None, final, False, residual)
+        return _verdict(analysis, False)
+    refined = refine_degenerate(analysis, tol)
+    if refined is not None and _configuration_valid(refined, tol):
+        return _verdict(refined, True, accept=True)
 
     # Degenerate pivot spectrum and no valid slicing found: reject only on
-    # sound grounds, otherwise refuse to guess.
-    singleton_defect = any(
-        len(g) == 1 and analysis.slice_ranks[g[0]] != 1 for g in groups
-    )
-    if singleton_defect:
-        return Verdict(False, None, final, True, residual)
+    # sound grounds, read from the eigenbasis slicing, otherwise refuse to guess.
+    rejection = _verdict(analysis, True)
+    if any(len(g) == 1 and analysis.slice_ranks[g[0]] != 1 for g in groups):
+        return rejection
     for group in groups:
         if len(group) < 2 or any(analysis.slice_ranks[i] != 1 for i in group):
             continue
@@ -427,16 +385,16 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
         # span of this block contains no valid slicing at all.
         left, right = analysis.left_factors[:, group], analysis.right_factors[:, group]
         if not _families_orthonormal(left, right, tol):
-            return Verdict(False, None, final, True, residual)
+            return rejection
     # A decomposition forces equal nonzero single-party spectra.
     a, b, c = _party_spectra(state)
     margin = math.sqrt(tol.recon_abs)
     if not all(_spectra_match(p, q, tol, margin) for p, q in ((a, b), (a, c), (b, c))):
-        return Verdict(False, None, final, True, residual)
+        return rejection
     raise Indeterminate(
         "degenerate eigenspace could not be refined to a rank-one slicing",
-        analysis=final,
-        max_residual=residual,
+        analysis=analysis,
+        max_residual=rejection.max_residual,
     )
 
 
@@ -459,10 +417,7 @@ def _party_spectra(state: PureState) -> list[np.ndarray]:
     t = state.tensor
     spectra = []
     for p, d in enumerate(state.dims):
-        try:
-            s = np.linalg.svd(_unfold(t, (p,)), compute_uv=False) ** 2
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
+        s = linalg._lapack(np.linalg.svd, _unfold(t, (p,)), compute_uv=False) ** 2
         spectra.append(np.pad(s, (0, d - s.size)))
     return spectra
 

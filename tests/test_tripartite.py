@@ -63,14 +63,12 @@ def test_analyze_ghz():
     expected1[1, 1] = 1 / np.sqrt(2)
     assert np.max(np.abs(np.abs(analysis.slices[0]) - expected0)) < 1e-12
     assert np.max(np.abs(np.abs(analysis.slices[1]) - expected1)) < 1e-12
-    assert np.allclose(analysis.s_spectrum, [0.5, 0.5])
 
 
 def test_analyze_w():
     analysis = analyze(W)
     assert np.allclose(analysis.pivot_spectrum, [2 / 3, 1 / 3])
     assert analysis.slice_ranks == (2, 1)
-    assert analysis.s_spectrum is None
 
 
 def test_analyze_product():
@@ -200,9 +198,9 @@ def test_refine_leaves_ghz_unchanged():
     assert refined is analysis
 
 
-def test_refine_nondegenerate_is_noop():
-    analysis = analyze(W)
-    assert refine_degenerate(analysis) is analysis
+def test_refine_finds_no_rank_one_slicing_of_w():
+    # W's slices share no factor bases, so no basis of the retained span slices it to rank one
+    assert refine_degenerate(analyze(W)) is None
 
 
 def test_refine_recovers_rotated_ghz():
@@ -213,7 +211,7 @@ def test_refine_recovers_rotated_ghz():
     analysis = analyze(rotated)
     assert any(r > 1 for r in analysis.slice_ranks)
     refined = refine_degenerate(analysis)
-    assert not refined.not_refinable
+    assert refined is not None
     assert refined.slice_ranks == (1, 1)
     basis = refined.pivot_basis
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(2))) < 1e-10
@@ -233,10 +231,10 @@ def test_refine_handles_mixed_bell_slices():
     assert verdict.decomposable
     assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-9
     # the slices of eps_ijk share no factor bases: every combination has rank two
-    assert tripartite._refine_block(list(analyze(ANTISYM).slices), Tolerances()) is None
+    assert refine_degenerate(analyze(ANTISYM)) is None
     # shared bases with more modes than slices admit no rank-one slicing
     wide = [np.diag([1.0, 1.0, 0.0]) / 2, np.diag([0.0, 0.0, np.sqrt(2)]) / 2]
-    assert tripartite._refine_block(wide, Tolerances()) is None
+    assert tripartite._shared_factors(wide, Tolerances())[2].shape[1] > len(wide)
 
 
 def test_reconstruct_from_explicit_decomposition():
@@ -340,14 +338,27 @@ def test_check_and_spectra_never_call_reduced_density(monkeypatch):
 
 def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("did not converge")
 
+    # rank-two slices, so refinement reaches its SVDs
+    rotated = analyze(apply_local_unitary(GHZ, 0, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)))
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NoConvergence):
         spectrum_report(GHZ)
-    # so does the batched SVD of the slice stack
+    # so do the batched SVD of the slice stack, refinement and the public SVD
     with pytest.raises(NoConvergence):
         analyze(GHZ)
+    with pytest.raises(NoConvergence):
+        refine_degenerate(rotated)
+    with pytest.raises(NoConvergence):
+        linalg.svd(np.eye(2))
+    # and the eigensolve behind analyze and the public eigendecomposition
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence):
+        analyze(GHZ)
+    with pytest.raises(NoConvergence):
+        linalg.hermitian_eigendecompose(np.eye(2))
 
 
 def _assert_leading_factors(analysis):
@@ -462,40 +473,23 @@ def test_analyze_rejects_a_pivot_basis_that_is_not_unit_norm(monkeypatch):
         analyze(haar_state((3, 4, 5), seed=97))
 
 
-def test_s_spectrum_matches_rho_b_when_shared_basis_exists():
+def test_shared_basis_spectrum_matches_rho_b_when_shared_basis_exists():
     # slices of a decomposable state share their Schmidt bases, so the
     # accumulated mode sums reproduce the spectrum of rho_B
-    state = schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=200)
-    analysis = analyze(state)
-    assert analysis.s_spectrum is not None
-    report = spectrum_report(state)
-    k = analysis.s_spectrum.size
-    assert np.max(np.abs(analysis.s_spectrum - report.spectrum_b[:k])) < 1e-9
-    # generic entangled slices do not share a basis
-    assert analyze(haar_state((3, 3, 3), seed=201)).s_spectrum is None
     tol = Tolerances()
+    state = schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=200)
+    spectrum = tripartite._shared_basis_spectrum(analyze(state).slices, tol)
+    assert spectrum is not None
+    report = spectrum_report(state)
+    assert np.max(np.abs(spectrum - report.spectrum_b[: spectrum.size])) < 1e-9
+    # generic entangled slices do not share a basis
+    haar = analyze(haar_state((3, 3, 3), seed=201))
+    assert tripartite._shared_basis_spectrum(haar.slices, tol) is None
     # product slices with a common left factor: their right factors differ
     assert tripartite._shared_basis_spectrum([np.diag([1.0, 0.0]), np.diag([1.0], 1)], tol) is None
     # a 1e-4 off-diagonal entry is far above the shared-basis tolerance
     leak = np.array([[0.0, 1e-4], [0.0, 0.0]])
     assert tripartite._shared_basis_spectrum([np.diag([1.0, 0.5]), leak], tol) is None
-
-
-def test_s_spectrum_is_computed_once_and_only_on_access(monkeypatch):
-    calls = []
-    shared = tripartite._shared_basis_spectrum
-
-    def counted(*args):
-        calls.append(args)
-        return shared(*args)
-
-    monkeypatch.setattr(tripartite, "_shared_basis_spectrum", counted)
-    state = schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=200)
-    assert check(state).decomposable
-    analysis = analyze(state)
-    assert calls == []
-    assert analysis.s_spectrum is analysis.s_spectrum
-    assert len(calls) == 1
 
 
 def test_power_step_factors_are_computed_once_and_only_when_read(monkeypatch):
@@ -671,6 +665,35 @@ def test_forced_degenerate_generator_states_accepted():
         expected = np.sort(np.array(weights) / np.sum(weights))[::-1]
         assert np.max(np.abs(verdict.decomposition.weights - expected)) < 1e-8
         assert abs(overlap(state, reconstruct_tripartite(verdict.decomposition))) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("d", [16, 24, 32])
+def test_one_simultaneous_diagonalization_refines_many_tied_blocks(d, monkeypatch):
+    # d exactly tied weights in blocks whose sizes cycle 2, 1, 3, in Haar bases:
+    # one combination SVD over all d retained slices finds the rotation
+    sizes = []
+    for size in itertools.cycle((2, 1, 3)):
+        if sum(sizes) >= d:
+            break
+        sizes.append(min(size, d - sum(sizes)))
+    calls = []
+    shared_factors = tripartite._shared_factors
+
+    def counted(slices, tol):
+        calls.append(len(slices))
+        return shared_factors(slices, tol)
+
+    monkeypatch.setattr(tripartite, "_shared_factors", counted)
+    for seed in (1, 2, 3):
+        levels = np.cumsum(np.random.default_rng(seed).uniform(1.0, 2.0, len(sizes)))[::-1]
+        weights = np.repeat(levels, sizes) / np.sum(np.repeat(levels, sizes))
+        state = schmidt_state((d, d, d), weights, seed=seed)
+        assert max(analyze(state).slice_ranks) > 1
+        calls.clear()
+        verdict = check(state)
+        assert calls == [d]
+        assert verdict.decomposable and verdict.degenerate
+        assert np.max(np.abs(verdict.decomposition.weights - weights)) <= 1e-12
 
 
 def test_verdict_invariant_under_party_permutations():

@@ -18,9 +18,12 @@ versions of the program can be compared on the same inputs.  One BLAS
 thread is pinned, as in the benchmark, because the last bits depend on it.
 
 ``--compare A B`` prints every record whose verdict, flag, exception type,
-slice ranks or basis, value and factor-basis digests differ, and the
+slice ranks, or presence or length of numbers differ (a verdict-level
+difference), counts per input kind the records that agree on all of those
+but differ in some digest or number (a bit-level difference), and gives the
 largest deviation and count of changed values of the weights and of
-``max_residual``.  It exits with 1 when some record differs.
+``max_residual`` over every record pair with numbers on both sides.  It exits
+with 1 when some record differs at either level.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-generic", "decide-degenerate")
 PIVOTS = (None, 0, 1, 2)
-EXACT = ("label", "decomposable", "degenerate", "error", "slice_ranks", "basis_sha256",
-         "values_sha256", "bases_sha256")
+VERDICT = ("label", "decomposable", "degenerate", "error", "slice_ranks")
+DIGESTS = ("basis_sha256", "values_sha256", "bases_sha256")
 
 
 def _hashes(analysis) -> dict:
@@ -105,9 +109,9 @@ def _load(path) -> dict:
     return {(r["workload"], r["seed"], r["input"], r["pivot"]): r for r in records}
 
 
-def _differs(ra: dict, rb: dict) -> bool:
-    """Whether two records differ in anything but the last digits of their numbers."""
-    return (any(ra.get(f) != rb.get(f) for f in EXACT)
+def _verdict_differs(ra: dict, rb: dict) -> bool:
+    """Whether two records differ in anything but the bits of their numbers."""
+    return (any(ra.get(f) != rb.get(f) for f in VERDICT)
             or (ra["max_residual"] is None) != (rb["max_residual"] is None)
             or (ra["weights"] is None) != (rb["weights"] is None)
             or len(ra["weights"] or ()) != len(rb["weights"] or ()))
@@ -116,24 +120,31 @@ def _differs(ra: dict, rb: dict) -> bool:
 def compare(path_a, path_b) -> int:
     a, b = _load(path_a), _load(path_b)
     keys = sorted(a.keys() | b.keys(), key=repr)
-    mismatches = [k for k in keys if k not in a or k not in b or _differs(a[k], b[k])]
+    mismatches = [k for k in keys if k not in a or k not in b or _verdict_differs(a[k], b[k])]
     for key in mismatches:
         ra, rb = a.get(key, {}), b.get(key, {})
-        print("mismatch", key, {f: (ra.get(f), rb.get(f)) for f in (*EXACT, "weights")})
+        print("mismatch", key, {f: (ra.get(f), rb.get(f)) for f in (*VERDICT, "weights")})
+    paired = [(a[k], b[k]) for k in keys if k in a and k in b]
+    bits = Counter(
+        ra["label"].split("-")[0] for ra, rb in paired
+        if not _verdict_differs(ra, rb)
+        and any(ra[f] != rb[f] for f in (*DIGESTS, "max_residual", "weights"))
+    )
     weight_dev = residual_dev = 0.0
     weights_changed = residuals_changed = 0
-    for key in set(keys) - set(mismatches):
-        ra, rb = a[key], b[key]
+    for ra, rb in paired:
         for x, y in zip(ra["weights"] or (), rb["weights"] or ()):
             weights_changed += x != y
             weight_dev = max(weight_dev, abs(x - y))
-        if ra["max_residual"] is not None:
+        if ra["max_residual"] is not None and rb["max_residual"] is not None:
             residuals_changed += ra["max_residual"] != rb["max_residual"]
-            residual_dev = max(residual_dev, abs(float(ra["max_residual"]) - float(rb["max_residual"])))
-    print(f"records: {len(a)} vs {len(b)}; mismatched records: {len(mismatches)}")
+            x, y = float(ra["max_residual"]), float(rb["max_residual"])
+            residual_dev = max(residual_dev, abs(x - y))
+    print(f"records: {len(a)} vs {len(b)}; verdict-level differences: {len(mismatches)}; "
+          f"bit-level differences: {sum(bits.values())} {dict(sorted(bits.items()))}")
     print(f"weights: max deviation {weight_dev:.3g}, {weights_changed} values changed")
     print(f"max_residual: max deviation {residual_dev:.3g}, {residuals_changed} values changed")
-    return 1 if mismatches else 0
+    return 1 if mismatches or bits else 0
 
 
 def main(argv=None) -> int:
