@@ -41,7 +41,6 @@ from .states import (
 )
 from .tripartite import (
     SliceAnalysis,
-    SpectrumReport,
     TripartiteSchmidt,
     Verdict,
     analyze,
@@ -66,7 +65,6 @@ __all__ = [
     "PureState",
     "RankNotOne",
     "SliceAnalysis",
-    "SpectrumReport",
     "Tolerances",
     "TripartiteSchmidt",
     "TrischmidtError",

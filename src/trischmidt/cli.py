@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .bipartite import entropy_bits, schmidt_decompose
 from .exceptions import Indeterminate, TrischmidtError
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, validate
-from .tripartite import PARTY_NAMES, check, spectrum_report
+from .tripartite import PARTY_NAMES, Verdict, check, spectrum_report
 
 EXIT_DECOMPOSABLE = 0
 EXIT_NOT_DECOMPOSABLE = 1
@@ -137,32 +138,12 @@ def _load(args, n_parties: int) -> tuple[PureState, dict]:
     return state, header
 
 
-def _verdict(state: PureState, tol: Tolerances, pivot: int | None = None) -> tuple:
-    """``check`` as ``(decomposable, degenerate, max_residual, weights, analysis)``.
-
-    An indeterminate verdict reads ``decomposable`` None, ``degenerate``
-    True, no weights, and the analysis it carries (possibly None).
-    """
+def _verdict(state: PureState, tol: Tolerances, pivot: int | None = None) -> Verdict:
+    """``check``'s verdict, or the undecided one an :class:`Indeterminate` carries."""
     try:
-        verdict = check(state, tol, pivot=pivot)
+        return check(state, tol, pivot=pivot)
     except Indeterminate as exc:
-        return None, True, exc.max_residual, None, exc.analysis
-    weights = verdict.decomposition.weights if verdict.decomposition else None
-    return verdict.decomposable, verdict.degenerate, verdict.max_residual, weights, verdict.analysis
-
-
-def _spectra_sections(state: PureState, tol: Tolerances) -> dict:
-    report = spectrum_report(state, tol)
-    single = {"A": report.spectrum_a, "B": report.spectrum_b, "C": report.spectrum_c}
-    spectra = {**single, "BC": report.spectrum_bc}
-    flags = {
-        "A_B": report.equal_ab,
-        "A_C": report.equal_ac,
-        "B_C": report.equal_bc,
-        "A_BC": report.equal_a_bc,
-    }
-    entropies = {name: entropy_bits(s, tol) for name, s in single.items()}
-    return {"spectra": spectra, "spectrum_equal": flags, "entropy_bits": entropies}
+        return exc.verdict
 
 
 def _pivot_entry(state: PureState, tol: Tolerances, pivot: int) -> dict:
@@ -170,11 +151,11 @@ def _pivot_entry(state: PureState, tol: Tolerances, pivot: int) -> dict:
         # a trivial party has a single slice (the whole state); the
         # per-party rank-one criterion is meaningless there
         return {"decomposable": None, "max_residual": None, "slice_ranks": None}
-    decomposable, _, residual, _, analysis = _verdict(state, tol, pivot)
+    verdict = _verdict(state, tol, pivot)
     return {
-        "decomposable": decomposable,
-        "max_residual": residual,
-        "slice_ranks": list(analysis.slice_ranks) if analysis else None,
+        "decomposable": verdict.decomposable,
+        "max_residual": verdict.max_residual,
+        "slice_ranks": list(verdict.analysis.slice_ranks),
     }
 
 
@@ -200,30 +181,29 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     state, report = _load(args, 3)
-    decomposable, degenerate, residual, weights, analysis = _verdict(state, args.tol)
-    indeterminate = decomposable is None
-    report["pivot_party"] = PARTY_NAMES[analysis.pivot_party if analysis else 0]
+    verdict = _verdict(state, args.tol)
+    report["pivot_party"] = PARTY_NAMES[verdict.analysis.pivot_party]
     report["verdict"] = {
-        "decomposable": decomposable,
-        "degenerate": degenerate,
-        "indeterminate": indeterminate,
-        "max_residual": residual,
+        "decomposable": verdict.decomposable,
+        "degenerate": verdict.degenerate,
+        "indeterminate": verdict.decomposable is None,
+        "max_residual": verdict.max_residual,
     }
-    report["weights"] = weights
-    report.update(_spectra_sections(state, args.tol))
+    report["weights"] = verdict.decomposition.weights if verdict.decomposition else None
+    report.update(spectrum_report(state, args.tol))
     if args.all_pivots:
         report["all_pivots"] = {
             PARTY_NAMES[p]: _pivot_entry(state, args.tol, p) for p in range(3)
         }
     sys.stdout.write(_dump_json(report) + "\n")
-    if indeterminate:
+    if verdict.decomposable is None:
         return EXIT_INDETERMINATE
-    return EXIT_DECOMPOSABLE if decomposable else EXIT_NOT_DECOMPOSABLE
+    return EXIT_DECOMPOSABLE if verdict.decomposable else EXIT_NOT_DECOMPOSABLE
 
 
 def _cmd_spectra(args) -> int:
     state, report = _load(args, 3)
-    report.update(_spectra_sections(state, args.tol))
+    report.update(spectrum_report(state, args.tol))
     sys.stdout.write(_dump_json(report) + "\n")
     return EXIT_DECOMPOSABLE
 
@@ -242,18 +222,13 @@ def _cmd_decompose_bipartite(args) -> int:
     return EXIT_DECOMPOSABLE
 
 
-def _parse_dims(text: str) -> list[int]:
+def _comma_list(convert, message: str, text: str) -> list:
+    """``convert`` of each comma-separated field; bound to ``convert`` and ``message``,
+    the error text, it is an argparse type."""
     try:
-        return [int(part) for part in text.split(",")]
+        return [convert(part) for part in text.split(",")]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"dims must be comma-separated integers: {exc}")
-
-
-def _parse_weights(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"weights must be comma-separated numbers: {exc}")
+        raise argparse.ArgumentTypeError(f"{message}: {exc}")
 
 
 class _SetTolerance(argparse.Action):
@@ -288,8 +263,10 @@ def _build_parser() -> _Parser:
     p_gen = sub.add_parser("gen", help="generate a state file")
     p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("kind", choices=list(_GEN_KINDS))
-    p_gen.add_argument("--dims", type=_parse_dims, required=True, metavar="D1,D2[,D3]")
-    p_gen.add_argument("--weights", type=_parse_weights, default=None, metavar="W1,W2,..",
+    p_gen.add_argument("--dims", required=True, metavar="D1,D2[,D3]",
+                       type=partial(_comma_list, int, "dims must be comma-separated integers"))
+    p_gen.add_argument("--weights", default=None, metavar="W1,W2,..",
+                       type=partial(_comma_list, float, "weights must be comma-separated numbers"),
                        help="positive weights for kind 'schmidt' (normalized to sum 1)")
     p_gen.add_argument("--seed", type=int, default=None, metavar="N",
                        help="seed for the numpy-pcg64 generator (haar/schmidt)")

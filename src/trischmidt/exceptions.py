@@ -33,13 +33,13 @@ class Indeterminate(TrischmidtError):
     """The degenerate-eigenspace refinement could not settle the verdict.
 
     Distinct from a negative verdict: the state was neither accepted nor
-    provably rejected.  Carries the analysis that was attempted.
+    provably rejected.  ``verdict`` is the rejection that could not be made
+    sound, with ``decomposable`` None: its analysis is the unrefined one.
     """
 
-    def __init__(self, message, analysis=None, max_residual=0.0):
+    def __init__(self, message, verdict):
         super().__init__(message)
-        self.analysis = analysis
-        self.max_residual = max_residual
+        self.verdict = verdict
 
 
 class BadWeights(TrischmidtError):

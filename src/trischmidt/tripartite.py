@@ -43,6 +43,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import linalg
+from .bipartite import entropy_bits
 from .exceptions import DimensionMismatch, Indeterminate, NotNormalized, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, _check_party, _gram, _unfold, validate
@@ -117,9 +118,11 @@ class Verdict:
     ``max_residual`` is the largest second Schmidt coefficient across the
     slices of the analysis the verdict was based on: zero-ish for clean
     acceptances, and a graded distance-to-criterion for rejections.
+    ``decomposable`` is None only in the verdict an :class:`Indeterminate`
+    carries: the rejection that could not be made sound.
     """
 
-    decomposable: bool
+    decomposable: bool | None
     decomposition: TripartiteSchmidt | None
     analysis: SliceAnalysis
     degenerate: bool
@@ -393,23 +396,8 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
         return rejection
     raise Indeterminate(
         "degenerate eigenspace could not be refined to a rank-one slicing",
-        analysis=analysis,
-        max_residual=rejection.max_residual,
+        replace(rejection, decomposable=None),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumReport:
-    """Descending spectra of the single-party cuts and of the BC pair (A's, zero-padded)."""
-
-    spectrum_a: np.ndarray
-    spectrum_b: np.ndarray
-    spectrum_c: np.ndarray
-    spectrum_bc: np.ndarray
-    equal_ab: bool
-    equal_ac: bool
-    equal_bc: bool
-    equal_a_bc: bool
 
 
 def _party_spectra(state: PureState) -> list[np.ndarray]:
@@ -422,14 +410,14 @@ def _party_spectra(state: PureState) -> list[np.ndarray]:
     return spectra
 
 
-def spectrum_report(state: PureState, tol: Tolerances = DEFAULT_TOL) -> SpectrumReport:
-    """Reduced-density spectra plus pairwise equality flags.
+def spectrum_report(state: PureState, tol: Tolerances = DEFAULT_TOL) -> dict:
+    """The report's ``spectra``, ``spectrum_equal`` and ``entropy_bits`` sections.
 
     Spectra are squared singular values of the single-party unfoldings.
     The BC spectrum is A's nonzero spectrum zero-padded (the Schmidt
-    identity on the A|BC cut), so no (d_B*d_C)^2 matrix is built and the A
-    vs BC flag holds by theorem.  Equality compares nonzero parts within
-    ``recon_abs``; the single-party flags are necessary but not sufficient.
+    identity on the A|BC cut), so no (d_B*d_C)^2 matrix is built.  Equality
+    compares nonzero parts within ``recon_abs``; the single-party flags are
+    necessary but not sufficient.
     """
     validate(state, tol)
     if state.n_parties != 3:
@@ -437,13 +425,14 @@ def spectrum_report(state: PureState, tol: Tolerances = DEFAULT_TOL) -> Spectrum
     a, b, c = _party_spectra(state)
     bc = np.zeros(state.dims[1] * state.dims[2])
     bc[: a.size] = a[: bc.size]
-    return SpectrumReport(
-        spectrum_a=a,
-        spectrum_b=b,
-        spectrum_c=c,
-        spectrum_bc=bc,
-        equal_ab=_spectra_match(a, b, tol, tol.recon_abs),
-        equal_ac=_spectra_match(a, c, tol, tol.recon_abs),
-        equal_bc=_spectra_match(b, c, tol, tol.recon_abs),
-        equal_a_bc=_spectra_match(a, bc, tol, tol.recon_abs),
-    )
+    return {
+        "spectra": {"A": a, "B": b, "C": c, "BC": bc},
+        "spectrum_equal": {
+            "A_B": _spectra_match(a, b, tol, tol.recon_abs),
+            "A_C": _spectra_match(a, c, tol, tol.recon_abs),
+            "B_C": _spectra_match(b, c, tol, tol.recon_abs),
+            # a theorem, not a test: bc is a zero-padded, or cut where a is only padding
+            "A_BC": True,
+        },
+        "entropy_bits": {name: entropy_bits(s, tol) for name, s in zip("ABC", (a, b, c))},
+    }

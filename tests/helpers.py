@@ -6,13 +6,21 @@ validates its input.
 
 import numpy as np
 
-from trischmidt import PureState
+from trischmidt import PureState, haar_unitary
 
 
 def apply_local_unitary(state: PureState, party: int, u) -> PureState:
     """``state`` with the matrix ``u`` applied to one party."""
     t = np.tensordot(np.asarray(u, dtype=np.complex128), state.tensor, axes=(1, party))
     return PureState(state.dims, np.moveaxis(t, 0, party).reshape(-1))
+
+
+def haar_rotated(state: PureState, seed: int) -> PureState:
+    """``state`` with a Haar unitary drawn from ``default_rng(seed)`` applied to each party."""
+    rng = np.random.default_rng(seed)
+    for party, d in enumerate(state.dims):
+        state = apply_local_unitary(state, party, haar_unitary(d, rng))
+    return state
 
 
 def is_unitary(u, atol: float = 1e-10) -> bool:

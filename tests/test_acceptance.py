@@ -61,9 +61,9 @@ def test_ghz_acceptance():
     verdict = check(ghz_state((2, 2, 2)))
     assert verdict.decomposable
     assert np.max(np.abs(np.sort(verdict.decomposition.weights)[::-1] - 0.5)) <= 1e-10
-    report = spectrum_report(ghz_state((2, 2, 2)))
-    for spec in (report.spectrum_b, report.spectrum_c):
-        assert np.max(np.abs(spec - report.spectrum_a)) <= 1e-10
+    spectra = spectrum_report(ghz_state((2, 2, 2)))["spectra"]
+    for party in "BC":
+        assert np.max(np.abs(spectra[party] - spectra["A"])) <= 1e-10
     _passed("GHZ accepted with weights (0.5, 0.5) and equal single-party spectra")
 
 
@@ -73,9 +73,9 @@ def test_w_rejection():
     assert not verdict.decomposable
     assert verdict.analysis.slice_ranks == (2, 1)
     assert abs(verdict.max_residual - 1 / np.sqrt(3)) <= 1e-9
-    report = spectrum_report(w)
-    for spec in (report.spectrum_a, report.spectrum_b, report.spectrum_c):
-        assert np.max(np.abs(spec - [2 / 3, 1 / 3])) <= 1e-10
+    spectra = spectrum_report(w)["spectra"]
+    for party in "ABC":
+        assert np.max(np.abs(spectra[party] - [2 / 3, 1 / 3])) <= 1e-10
     _passed("W rejected: ranks (2, 1), residual 1/sqrt(3), equal spectra (2/3, 1/3)")
 
 

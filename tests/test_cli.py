@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trischmidt import Indeterminate, PureState, ghz_state, haar_state, w_state
+from trischmidt import PureState, ghz_state, haar_state, tripartite, w_state
 from trischmidt.cli import (
     EXIT_DATA,
     EXIT_DECOMPOSABLE,
@@ -20,6 +20,7 @@ from trischmidt.cli import (
     parse_state_payload,
     state_payload,
 )
+from helpers import haar_rotated
 
 
 def run_cli(args, capsys):
@@ -257,24 +258,25 @@ def test_check_report_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_check_indeterminate_maps_to_exit_two(tmp_path, capsys, monkeypatch):
-    import trischmidt.cli as cli_mod
-
-    def fake_check(state, tol, pivot=None):
-        raise Indeterminate("forced for the exit-code contract", analysis=None, max_residual=0.25)
-
-    monkeypatch.setattr(cli_mod, "check", fake_check)
-    path = write_state(tmp_path, "g.json", ghz_state((2, 2, 2)))
+    # a rotated GHZ 3^3 with refinement switched off: every pivot is indeterminate
+    state = haar_rotated(ghz_state((3, 3, 3)), seed=0)
+    monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis, tol: None)
+    path = write_state(tmp_path, "g.json", state)
     code, out, _ = run_cli(["check", path], capsys)
     assert code == EXIT_INDETERMINATE
     payload = json.loads(out)
     assert payload["verdict"]["indeterminate"] is True
     assert payload["verdict"]["decomposable"] is None
+    assert payload["verdict"]["degenerate"] is True
+    assert payload["verdict"]["max_residual"] > 0.1
+    assert payload["weights"] is None
+    assert payload["pivot_party"] == "A"
     code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
     assert code == EXIT_INDETERMINATE
     for party in ("A", "B", "C"):
         entry = json.loads(out)["all_pivots"][party]
         assert entry["decomposable"] is None
-        assert entry["slice_ranks"] is None
+        assert entry["slice_ranks"] == [3, 3, 3]
 
 
 def test_check_rejects_bipartite_input(tmp_path, capsys):
@@ -449,6 +451,10 @@ def _leaf_paths(obj, prefix=""):
     (["check", "{w}", "--all-pivots"], _HEADER + _VERDICT + _SPECTRA + _ALL_PIVOTS),
     (["spectra", "{w}"], _HEADER + _SPECTRA),
     (["decompose-bipartite", "{bell}"], _HEADER + _BIPARTITE),
+    # an accepted verdict prints the same keys in the same order
+    (["check", "{ghz}"], _HEADER + _VERDICT + _SPECTRA),
+    (["check", "{ghz}", "--all-pivots"], _HEADER + _VERDICT + _SPECTRA + _ALL_PIVOTS),
+    (["spectra", "{ghz}"], _HEADER + _SPECTRA),
 ])
 def test_report_key_order(argv, expected, state_files, capsys):
     _, out, _ = run_cli([arg.format(**state_files) for arg in argv], capsys)

@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC = {
     # decision, construction and diagnostics
     "check", "analyze", "construct", "reconstruct_tripartite", "spectrum_report",
-    "Verdict", "SliceAnalysis", "TripartiteSchmidt", "SpectrumReport",
+    "Verdict", "SliceAnalysis", "TripartiteSchmidt",
     # states
     "PureState", "validate", "overlap", "partial_inner_product",
     "reduced_density",
@@ -26,7 +26,7 @@ PUBLIC = {
 
 
 def test_all_is_the_documented_surface():
-    assert len(trischmidt.__all__) == len(PUBLIC) == 39
+    assert len(trischmidt.__all__) == len(PUBLIC) == 38
     assert set(trischmidt.__all__) == PUBLIC
     for name in trischmidt.__all__:
         assert getattr(trischmidt, name) is not None, name

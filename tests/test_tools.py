@@ -1,0 +1,50 @@
+"""The scripts under ``tools/`` still run against the package and diff as documented."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
+
+
+def _tool(name, *args):
+    return subprocess.run([sys.executable, str(TOOLS / name), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_verdict_digest_writes_and_self_compares(tmp_path):
+    digest = tmp_path / "digest.jsonl"
+    run = _tool("verdict_digest.py", "--seeds", "1", "--out", str(digest))
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "656 records\n"
+    records = [json.loads(line) for line in digest.read_text().splitlines()]
+    assert len(records) == 656
+    # an Indeterminate is digested from the verdict it carries
+    undecided = [r for r in records if r["error"] == "Indeterminate"]
+    assert undecided
+    for record in undecided:
+        assert record["decomposable"] is None and record["degenerate"] is True
+        assert record["slice_ranks"] and record["max_residual"] is not None
+        assert record["basis_sha256"] and record["values_sha256"]
+    same = _tool("verdict_digest.py", "--compare", str(digest), str(digest))
+    assert same.returncode == 0, same.stdout
+    assert "verdict-level differences: 0; bit-level differences: 0" in same.stdout
+
+
+def test_cli_golden_compare_exits_one_on_a_differing_run(tmp_path):
+    record = dict(run="check w.json", exit=1, stdout_sha256="a", stderr_sha256="e",
+                  stdout='{"verdict": {"max_residual": 0.5}}')
+    paths = {}
+    for name, changes in (("a", {}), ("same", {}),
+                          ("other", dict(stdout_sha256="b",
+                                         stdout='{"verdict": {"max_residual": 0.25}}'))):
+        paths[name] = tmp_path / f"{name}.jsonl"
+        paths[name].write_text(json.dumps({**record, **changes}) + "\n")
+    same = _tool("cli_golden.py", "--compare", str(paths["a"]), str(paths["same"]))
+    assert same.returncode == 0, same.stdout
+    assert "differing runs: 0" in same.stdout
+    other = _tool("cli_golden.py", "--compare", str(paths["a"]), str(paths["other"]))
+    assert other.returncode == 1, other.stdout
+    assert "check w.json: stdout_sha256 differ; keys ['verdict']; 1 numbers changed" in other.stdout

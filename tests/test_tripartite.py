@@ -30,7 +30,7 @@ from trischmidt import (
 )
 from trischmidt.tripartite import degeneracy_groups, refine_degenerate
 
-from helpers import apply_local_unitary
+from helpers import apply_local_unitary, haar_rotated
 
 GHZ = ghz_state((2, 2, 2))
 W = w_state((2, 2, 2))
@@ -158,7 +158,7 @@ def test_check_rejects_parallel_factor_state():
     assert not verdict.decomposable
     assert verdict.analysis.slice_ranks == (1, 1)
     report = spectrum_report(PureState((2, 2, 2), amp.reshape(-1)))
-    assert not report.equal_ab
+    assert not report["spectrum_equal"]["A_B"]
 
 
 def test_check_rejects_degenerate_parallel_factor_state():
@@ -170,6 +170,24 @@ def test_check_rejects_degenerate_parallel_factor_state():
     verdict = check(PureState((2, 2, 2), amp.reshape(-1)))
     assert not verdict.decomposable
     assert verdict.degenerate
+
+
+def test_indeterminate_carries_the_unsettled_verdict(monkeypatch):
+    # a rotated GHZ 3^3 is degenerate with equal spectra: without refinement
+    # no sound rejection applies, and check raises
+    state = haar_rotated(ghz_state((3, 3, 3)), seed=0)
+    analysis = analyze(state)
+    monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis, tol: None)
+    with pytest.raises(Indeterminate) as info:
+        check(state)
+    verdict = info.value.verdict
+    assert verdict.decomposable is None
+    assert verdict.degenerate is True
+    assert verdict.decomposition is None
+    assert verdict.analysis.slice_ranks == analysis.slice_ranks == (3, 3, 3)
+    assert np.array_equal(verdict.analysis.pivot_basis, analysis.pivot_basis)
+    assert np.array_equal(verdict.analysis.slice_values, analysis.slice_values)
+    assert verdict.max_residual == tripartite._verdict(analysis, True).max_residual
 
 
 def test_construct_ghz_and_product():
@@ -279,24 +297,34 @@ def test_reconstruct_round_trip():
 
 def test_spectrum_report_ghz():
     report = spectrum_report(GHZ)
-    for spec in (report.spectrum_a, report.spectrum_b, report.spectrum_c):
-        assert np.allclose(spec, [0.5, 0.5])
-    assert report.equal_ab and report.equal_ac and report.equal_bc and report.equal_a_bc
+    for party in "ABC":
+        assert np.allclose(report["spectra"][party], [0.5, 0.5])
+    assert all(report["spectrum_equal"].values())
 
 
 def test_spectrum_report_w_equal_but_not_decomposable():
     report = spectrum_report(W)
-    for spec in (report.spectrum_a, report.spectrum_b, report.spectrum_c):
-        assert np.max(np.abs(spec - [2 / 3, 1 / 3])) < 1e-10
-    assert report.equal_ab and report.equal_ac and report.equal_bc
+    for party in "ABC":
+        assert np.max(np.abs(report["spectra"][party] - [2 / 3, 1 / 3])) < 1e-10
+    equal = report["spectrum_equal"]
+    assert equal["A_B"] and equal["A_C"] and equal["B_C"]
     assert not check(W).decomposable
 
 
 def test_spectrum_report_a_bc_always_equal():
-    for seed in range(6):
-        state = haar_state((2 + seed % 3, 3, 4), seed=3000 + seed)
-        report = spectrum_report(state)
-        assert report.equal_a_bc
+    # A_BC is reported True without a test: the BC spectrum is A's nonzero
+    # spectrum, bit for bit, then exact zeros; (5, 2, 2) has d_A > d_B*d_C
+    tol = Tolerances()
+    shapes = [((2 + seed % 3, 3, 4), 3000 + seed) for seed in range(6)]
+    for dims, seed in shapes + [((2, 64, 64), 3200), ((5, 2, 2), 3105)]:
+        report = spectrum_report(haar_state(dims, seed=seed))
+        a, bc = report["spectra"]["A"], report["spectra"]["BC"]
+        nonzero = np.count_nonzero(a)
+        assert bc.shape == (dims[1] * dims[2],)
+        assert np.array_equal(bc[:nonzero], a[:nonzero])
+        assert not bc[nonzero:].any()
+        assert tripartite._spectra_match(a, bc, tol, tol.recon_abs)
+        assert report["spectrum_equal"]["A_BC"] is True
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 4), (5, 2, 2), (1, 3, 4), (3, 1, 4)])
@@ -304,12 +332,11 @@ def test_spectrum_report_matches_reduced_density_eigenvalues(dims):
     # (5, 2, 2) has d_A > d_B*d_C, so the BC spectrum is A's cut short
     state = haar_state(dims, seed=3100 + sum(dims))
     report = spectrum_report(state)
-    spectra = (report.spectrum_a, report.spectrum_b, report.spectrum_c, report.spectrum_bc)
-    for keep, spec in zip(((0,), (1,), (2,), (1, 2)), spectra):
+    for keep, spec in zip(((0,), (1,), (2,), (1, 2)), report["spectra"].values()):
         want = np.linalg.eigvalsh(reduced_density(state, keep))[::-1]
         assert spec.shape == (int(np.prod([dims[k] for k in keep])),)
         assert np.max(np.abs(spec - want)) < 1e-10
-    assert report.equal_a_bc
+    assert report["spectrum_equal"]["A_BC"]
 
 
 def test_spectrum_report_builds_no_density_matrix(monkeypatch):
@@ -319,9 +346,10 @@ def test_spectrum_report_builds_no_density_matrix(monkeypatch):
     monkeypatch.setattr(tripartite, "reduced_density", forbidden)
     monkeypatch.setattr(linalg, "hermitian_eigendecompose", forbidden)
     report = spectrum_report(haar_state((2, 64, 64), seed=3200))
-    assert report.spectrum_bc.shape == (64 * 64,)
-    assert np.max(np.abs(report.spectrum_bc[2:]), initial=0.0) == 0.0
-    assert report.equal_a_bc
+    bc = report["spectra"]["BC"]
+    assert bc.shape == (64 * 64,)
+    assert np.max(np.abs(bc[2:]), initial=0.0) == 0.0
+    assert report["spectrum_equal"]["A_BC"]
 
 
 def test_check_and_spectra_never_call_reduced_density(monkeypatch):
@@ -481,7 +509,7 @@ def test_shared_basis_spectrum_matches_rho_b_when_shared_basis_exists():
     spectrum = tripartite._shared_basis_spectrum(analyze(state).slices, tol)
     assert spectrum is not None
     report = spectrum_report(state)
-    assert np.max(np.abs(spectrum - report.spectrum_b[: spectrum.size])) < 1e-9
+    assert np.max(np.abs(spectrum - report["spectra"]["B"][: spectrum.size])) < 1e-9
     # generic entangled slices do not share a basis
     haar = analyze(haar_state((3, 3, 3), seed=201))
     assert tripartite._shared_basis_spectrum(haar.slices, tol) is None
@@ -596,8 +624,8 @@ def test_equal_spectrum_on_acceptance():
     assert verdict.decomposable
     weights = verdict.decomposition.weights
     report = spectrum_report(state)
-    for spec in (report.spectrum_a, report.spectrum_b, report.spectrum_c):
-        nonzero = spec[: len(weights)]
+    for party in "ABC":
+        nonzero = report["spectra"][party][: len(weights)]
         assert np.max(np.abs(np.sort(nonzero)[::-1] - weights)) < 1e-9
 
 

@@ -16,6 +16,9 @@ keeps the eigenbasis and the factor bases bit for bit.  Seeds 1-8 give
 5248 records.  ``--src`` picks the trischmidt sources to digest, so two
 versions of the program can be compared on the same inputs.  One BLAS
 thread is pinned, as in the benchmark, because the last bits depend on it.
+An ``Indeterminate`` is read through the verdict it carries; versions before
+``Indeterminate.verdict`` carried ``analysis`` and ``max_residual`` instead,
+so digest such a version with its own copy of this tool, not with ``--src``.
 
 ``--compare A B`` prints every record whose verdict, flag, exception type,
 slice ranks, or presence or length of numbers differ (a verdict-level
@@ -45,8 +48,6 @@ DIGESTS = ("basis_sha256", "values_sha256", "bases_sha256")
 
 def _hashes(analysis) -> dict:
     """SHA-256 of the bytes of the eigenbasis and the slice singular values."""
-    if analysis is None:
-        return dict(basis_sha256=None, values_sha256=None)
     return {f"{name}_sha256": hashlib.sha256(array.tobytes()).hexdigest()
             for name, array in (("basis", analysis.pivot_basis),
                                 ("values", analysis.slice_values))}
@@ -63,19 +64,17 @@ def _bases_hash(decomposition):
 
 
 def _record(tripartite, errors, state, pivot) -> dict:
+    error = None
     try:
         verdict = tripartite.check(state, pivot=pivot)
     except errors.Indeterminate as exc:
-        ranks = list(exc.analysis.slice_ranks) if exc.analysis else None
-        return dict(decomposable=None, degenerate=True, error="Indeterminate",
-                    slice_ranks=ranks, max_residual=repr(exc.max_residual), weights=None,
-                    bases_sha256=None, **_hashes(exc.analysis))
+        verdict, error = exc.verdict, "Indeterminate"
     except errors.TrischmidtError as exc:
         return dict(decomposable=None, degenerate=None, error=type(exc).__name__,
                     slice_ranks=None, max_residual=None, weights=None, bases_sha256=None,
-                    **_hashes(None))
+                    basis_sha256=None, values_sha256=None)
     accepted = verdict.decomposition if verdict.decomposable else None
-    return dict(decomposable=verdict.decomposable, degenerate=verdict.degenerate, error=None,
+    return dict(decomposable=verdict.decomposable, degenerate=verdict.degenerate, error=error,
                 slice_ranks=list(verdict.analysis.slice_ranks),
                 max_residual=repr(verdict.max_residual),
                 weights=accepted.weights.tolist() if accepted else None,
