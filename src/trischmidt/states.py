@@ -64,6 +64,8 @@ def validate(state: PureState, tol: Tolerances = DEFAULT_TOL) -> PureState:
 
 
 def _check_party(state: PureState, party: int) -> int:
+    if isinstance(party, bool):  # an int subclass: True would name party 1
+        raise DimensionMismatch(f"party index must be an integer, got {party!r}")
     try:
         party = operator.index(party)
     except TypeError as exc:

@@ -13,8 +13,9 @@ pivot eigenvalues.
 ``analyze`` takes the pivot's reduced density matrix and the slices from one
 unfolding of the state.  It eigendecomposes that matrix, Hermitian by
 construction, without re-checking it, and canonicalizes only the kept
-eigenvectors.  One product gives all slices, one batched call their singular
-values; power steps give the leading factors of the slices on first access.
+eigenvectors.  One product gives all slices; their singular values and leading
+factors (by power steps) are computed on first read.  A rank test reads slice 0
+first: a non-degenerate pivot forces the slicing, so one entangled slice rejects.
 
 Rank-one slices alone are *not* enough: a state such as
 ``a|000> + b|101>`` has product slices whose B-side factors coincide,
@@ -58,7 +59,7 @@ PARTY_NAMES = ("A", "B", "C")
 
 @dataclass(frozen=True, eq=False)
 class SliceAnalysis:
-    """Slicing of a tripartite state along a pivot basis, and the singular values of its slices.
+    """Slicing of a tripartite state along a pivot basis; slice spectra and factors on first read.
 
     ``pivot_spectrum`` is the full descending spectrum of the pivot's
     reduced density matrix; slices are kept only for eigenvalues above
@@ -67,9 +68,11 @@ class SliceAnalysis:
     ``refine_degenerate`` it is a rotated basis of the same retained span.
     ``slices`` stacks them (r x d1 x d2, over the two remaining parties);
     row i of ``slice_values`` (r x min(d1, d2)) holds slice i's descending
-    singular values.  Column i of ``left_factors`` (d1 x r) and
-    ``right_factors`` (d2 x r) are its leading factors, found by power steps
-    on first access and meaningful only when slice i has rank one.
+    singular values, slice 0's by its own call and the rest by one batched call;
+    ``slice_ranks`` counts those above ``rank_rel`` times the row's largest.
+    Column i of ``left_factors`` (d1 x r) and ``right_factors`` (d2 x r) are
+    its leading factors, found by power steps and meaningful only when slice i
+    has rank one.  All of these are computed on first read.
     """
 
     dims: tuple[int, ...]
@@ -77,12 +80,18 @@ class SliceAnalysis:
     pivot_basis: np.ndarray
     pivot_spectrum: np.ndarray
     slices: np.ndarray
-    slice_values: np.ndarray
-    slice_ranks: tuple[int, ...]
+    rank_rel: float
 
+    _first_values = cached_property(lambda self: _values(self.slices[0])[None])
+    slice_ranks = cached_property(lambda self: _ranks(self.slice_values, self.rank_rel))
     _factors = cached_property(lambda self: _power_step_factors(self.slices))
     left_factors = property(lambda self: self._factors[0])
     right_factors = property(lambda self: self._factors[1])
+
+    @cached_property
+    def slice_values(self) -> np.ndarray:
+        first, rest = self._first_values, self.slices[1:]
+        return np.concatenate((first, _values(rest))) if len(rest) else first
 
     @property
     def remaining_parties(self) -> tuple[int, int]:
@@ -117,7 +126,8 @@ class Verdict:
 
     ``max_residual`` is the largest second Schmidt coefficient across the
     slices of the analysis the verdict was based on: zero-ish for clean
-    acceptances, and a graded distance-to-criterion for rejections.
+    acceptances, and a graded distance-to-criterion for rejections.  It reads
+    ``analysis.slice_values``, so only a caller that reads it pays for them.
     ``decomposable`` is None only in the verdict an :class:`Indeterminate`
     carries: the rejection that could not be made sound.
     """
@@ -126,7 +136,7 @@ class Verdict:
     decomposition: TripartiteSchmidt | None
     analysis: SliceAnalysis
     degenerate: bool
-    max_residual: float
+    max_residual = property(lambda self: float(np.max(self.analysis.slice_values[:, 1:], initial=0.0)))
 
 
 def _pivot_party(dims: tuple[int, ...]) -> int:
@@ -156,11 +166,14 @@ def degeneracy_groups(spectrum, tol: Tolerances = DEFAULT_TOL) -> list[list[int]
     return groups
 
 
-def _slice_fields(slices: np.ndarray, tol: Tolerances) -> dict:
-    """``SliceAnalysis`` fields of a slice stack: its batched singular values and ranks."""
-    values = linalg._lapack(np.linalg.svd, slices, compute_uv=False)
-    ranks = np.count_nonzero(values > tol.rank_rel * values[:, :1], axis=1)
-    return dict(slices=slices, slice_values=values, slice_ranks=tuple(ranks.tolist()))
+def _values(slices: np.ndarray) -> np.ndarray:
+    """Descending singular values of one slice, or of each slice of a stack in one call."""
+    return linalg._lapack(np.linalg.svd, slices, compute_uv=False)
+
+
+def _ranks(values: np.ndarray, rank_rel: float) -> tuple[int, ...]:
+    """Numerical rank of each row of singular values, relative to its largest."""
+    return tuple(np.count_nonzero(values > rank_rel * values[:, :1], axis=1).tolist())
 
 
 def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +188,7 @@ def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> SliceAnalysis:
-    """Slice ``state`` along the pivot eigenbasis and take the slices' singular values.
+    """Slice ``state`` along the pivot eigenbasis; the slices are decomposed on first read.
 
     ``pivot`` defaults to the smallest party of dimension >= 2 (ties go
     to A before B before C); passing it explicitly supports the
@@ -197,7 +210,8 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
         pivot_party=pivot,
         pivot_basis=basis,
         pivot_spectrum=spectrum,
-        **_slice_fields(slices, tol),
+        slices=slices,
+        rank_rel=tol.rank_rel,
     )
 
 
@@ -259,8 +273,14 @@ def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) 
     )
 
 
+def _all_rank_one(analysis: SliceAnalysis) -> bool:
+    """Whether every slice has rank one; a defective slice 0 answers before the rest are read."""
+    first = _ranks(analysis._first_values, analysis.rank_rel)
+    return first == (1,) and all(rank == 1 for rank in analysis.slice_ranks)
+
+
 def _configuration_valid(analysis: SliceAnalysis, tol: Tolerances) -> bool:
-    if any(rank != 1 for rank in analysis.slice_ranks):
+    if not _all_rank_one(analysis):
         return False
     return _families_orthonormal(analysis.left_factors, analysis.right_factors, tol)
 
@@ -278,7 +298,7 @@ def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) ->
     them, ``u~_m = sum_i conj(coeff[m, i]) u_i``, so that each rotated basis
     vector still gives its rotated slice by the partial inner product.
     """
-    if all(rank == 1 for rank in analysis.slice_ranks):
+    if _all_rank_one(analysis):
         return analysis
     slices = analysis.slices
     shared = _shared_factors(slices, tol)
@@ -289,7 +309,7 @@ def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) ->
     return replace(
         analysis,
         pivot_basis=analysis.pivot_basis @ coeff.conj().T,
-        **_slice_fields(np.tensordot(coeff, slices, axes=1), tol),
+        slices=np.tensordot(coeff, slices, axes=1),
     )
 
 
@@ -343,13 +363,6 @@ def _spectra_match(p, q, tol: Tolerances, atol: float) -> bool:
     return bool(np.max(np.abs(p - q), initial=0.0) <= atol)
 
 
-def _verdict(analysis: SliceAnalysis, degenerate: bool, accept: bool = False) -> Verdict:
-    """The verdict on ``analysis``, constructed when accepted; the residual is its worst slice."""
-    residual = float(np.max(analysis.slice_values[:, 1:], initial=0.0))
-    decomposition = construct(analysis) if accept else None
-    return Verdict(accept, decomposition, analysis, degenerate, residual)
-
-
 def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> Verdict:
     """Decide whether ``state`` admits a single-sum decomposition.
 
@@ -369,16 +382,16 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
     groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
     degenerate = any(len(g) > 1 for g in groups)
     if _configuration_valid(analysis, tol):
-        return _verdict(analysis, degenerate, accept=True)
+        return Verdict(True, construct(analysis), analysis, degenerate)
     if not degenerate:
-        return _verdict(analysis, False)
+        return Verdict(False, None, analysis, False)
     refined = refine_degenerate(analysis, tol)
     if refined is not None and _configuration_valid(refined, tol):
-        return _verdict(refined, True, accept=True)
+        return Verdict(True, construct(refined), refined, True)
 
     # Degenerate pivot spectrum and no valid slicing found: reject only on
     # sound grounds, read from the eigenbasis slicing, otherwise refuse to guess.
-    rejection = _verdict(analysis, True)
+    rejection = Verdict(False, None, analysis, True)
     if any(len(g) == 1 and analysis.slice_ranks[g[0]] != 1 for g in groups):
         return rejection
     for group in groups:
@@ -405,7 +418,7 @@ def _party_spectra(state: PureState) -> list[np.ndarray]:
     t = state.tensor
     spectra = []
     for p, d in enumerate(state.dims):
-        s = linalg._lapack(np.linalg.svd, _unfold(t, (p,)), compute_uv=False) ** 2
+        s = _values(_unfold(t, (p,))) ** 2
         spectra.append(np.pad(s, (0, d - s.size)))
     return spectra
 

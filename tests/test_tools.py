@@ -48,3 +48,29 @@ def test_cli_golden_compare_exits_one_on_a_differing_run(tmp_path):
     other = _tool("cli_golden.py", "--compare", str(paths["a"]), str(paths["other"]))
     assert other.returncode == 1, other.stdout
     assert "check w.json: stdout_sha256 differ; keys ['verdict']; 1 numbers changed" in other.stdout
+
+
+def test_bench_pairs_smoke_appends_a_record(tmp_path):
+    results = tmp_path / "results.json"
+    for n in (1, 2):
+        run = _tool("bench_pairs.py", "--parent", str(ROOT), "--workload", "decide-generic",
+                    "--pairs", "1", "--smoke", "--out", str(results))
+        assert run.returncode == 0, run.stderr
+        assert run.stderr.splitlines() == ["pair 1/1: parent", "pair 1/1: change"]
+        records = json.loads(results.read_text())
+        assert len(records) == n
+    record = records[-1]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    assert list(record["summary"]) == names
+    for name in names:
+        entry = record["summary"][name]
+        assert entry["change_wins"] + entry["parent_wins"] <= 1
+        assert entry["reading"] in ("gain", "worse", "-")
+        for side in ("parent", "change"):
+            value = record["runs"][side][0]["metrics"][name]["value"]
+            assert entry[side] == {"median": value, "q1": value, "q3": value}
+        assert name in run.stdout
+    assert all(r["correct"] for side in record["runs"].values() for r in side)
+    assert record["sides"]["parent"]["src_lines"] == record["sides"]["change"]["src_lines"] > 0
+    assert set(record["machine"]) == {"cores", "cpu", "blas", "blas_threads", "numpy", "python"}

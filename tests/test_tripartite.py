@@ -1,5 +1,4 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,9 +102,10 @@ PARTY_CALLS = {
 
 
 @pytest.mark.parametrize("name", PARTY_CALLS)
-@pytest.mark.parametrize("party", [-0.5, 0.9, 1.7, 2.9, 3, -1, "1"], ids=repr)
+@pytest.mark.parametrize("party", [-0.5, 0.9, 1.7, 2.9, 3, -1, "1", True, False], ids=repr)
 def test_party_index_must_be_an_in_range_integer(name, party):
-    # a float index used to be truncated toward zero and silently accepted
+    # a float index used to be truncated toward zero and silently accepted,
+    # and a bool, an int subclass, used to name party 0 or 1
     state = haar_state((3, 3, 3), seed=3400)
     with pytest.raises(DimensionMismatch):
         PARTY_CALLS[name](state, party)
@@ -187,7 +187,7 @@ def test_indeterminate_carries_the_unsettled_verdict(monkeypatch):
     assert verdict.analysis.slice_ranks == analysis.slice_ranks == (3, 3, 3)
     assert np.array_equal(verdict.analysis.pivot_basis, analysis.pivot_basis)
     assert np.array_equal(verdict.analysis.slice_values, analysis.slice_values)
-    assert verdict.max_residual == tripartite._verdict(analysis, True).max_residual
+    assert verdict.max_residual == float(np.max(analysis.slice_values[:, 1:]))
 
 
 def test_construct_ghz_and_product():
@@ -373,9 +373,9 @@ def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(NoConvergence):
         spectrum_report(GHZ)
-    # so do the batched SVD of the slice stack, refinement and the public SVD
+    # so do the slice SVDs, made on first read of the values, refinement and the public SVD
     with pytest.raises(NoConvergence):
-        analyze(GHZ)
+        analyze(GHZ).slice_values
     with pytest.raises(NoConvergence):
         refine_degenerate(rotated)
     with pytest.raises(NoConvergence):
@@ -417,8 +417,12 @@ def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("check must not decompose or contract the slices one by one")
 
-    refined = []
+    analyses, refined = [], []
     refine = tripartite.refine_degenerate
+
+    def recorded_analysis(*args, **kwargs):
+        analyses.append(analyze(*args, **kwargs))
+        return analyses[-1]
 
     def recorded(*args):
         refined.append(refine(*args))
@@ -429,7 +433,7 @@ def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
 
     def recorded_svd(a, *args, **kwargs):
         compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
-        svd_calls.append((np.ndim(a), compute_uv))
+        svd_calls.append((np.shape(a), compute_uv))
         return numpy_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(bipartite, "schmidt_decompose", forbidden)
@@ -438,21 +442,31 @@ def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
     monkeypatch.setattr(tripartite, "partial_inner_product", forbidden)
     monkeypatch.setattr(linalg, "svd", forbidden)
     monkeypatch.setattr(tripartite, "refine_degenerate", recorded)
+    monkeypatch.setattr(tripartite, "analyze", recorded_analysis)
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     verdict = check(state)
     monkeypatch.undo()
     assert verdict.decomposable is refines
+    assert len(analyses) == 1
     assert len(refined) == int(refines)
-    # the slice stacks get singular values only, one batched call each
-    assert svd_calls.count((3, False)) == 1 + len(refined)
-    assert (3, True) not in svd_calls
-    for analysis in (analyze(state), *refined):
+    # the slices get singular values only: slice 0 of each analysis by one 2-D
+    # call, and the rest by one batched call per analysis whose ranks are read
+    analyses += refined
+    values_only = [shape for shape, uv in svd_calls if not uv]
+    read = [a for a in analyses if "slice_ranks" in vars(a)]
+    assert [shape for shape in values_only if len(shape) == 2] == [a.slices[0].shape for a in analyses]
+    assert [shape for shape in values_only if len(shape) == 3] == [a.slices[1:].shape for a in read]
+    assert not any(len(shape) == 3 for shape, uv in svd_calls if uv)
+    # an entangled slice 0 rejects the eigenbasis slicing on its own; only the
+    # accepted refinement has its ranks read
+    assert read == refined
+    for analysis in analyses:
         r = analysis.pivot_basis.shape[1]
         first, second = (state.dims[p] for p in analysis.remaining_parties)
         assert isinstance(analysis.slices, np.ndarray)
         assert analysis.slices.shape == (r, first, second)
         expected = np.linalg.svd(analysis.slices, compute_uv=False)
-        assert np.max(np.abs(analysis.slice_values - expected)) <= 1e-14
+        assert np.array_equal(analysis.slice_values, expected)
         _assert_leading_factors(analysis)
     if verdict.decomposable:
         assert set(verdict.analysis.slice_ranks) == {1}
@@ -468,12 +482,52 @@ def test_power_step_factors_of_nearly_rank_one_slices():
         top, below = np.outer(a[:, 0], b[0]), np.outer(a[:, 1], b[1])
         stack.append(rng.uniform(0.1, 1.0) * (top + second * below))
     stack = np.array(stack)
-    left, right = tripartite._power_step_factors(stack)
-    analysis = SimpleNamespace(**tripartite._slice_fields(stack, Tolerances()),
-                               left_factors=left, right_factors=right)
+    analysis = tripartite.SliceAnalysis(dims=(5, 5, 6), pivot_party=0, pivot_basis=None,
+                                        pivot_spectrum=None, slices=stack,
+                                        rank_rel=Tolerances().rank_rel)
     assert analysis.slice_ranks == (1,) * 5
     assert np.all(analysis.slice_values[2:, 1] > 0.0)
     _assert_leading_factors(analysis)
+
+
+def _recorded_svd_shapes(monkeypatch) -> list:
+    calls = []
+    numpy_svd = np.linalg.svd
+
+    def recorded_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return numpy_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    return calls
+
+
+@pytest.mark.parametrize("state", [haar_state((16, 16, 16), seed=97), W, w_state((3, 3, 3))])
+def test_rejection_decomposes_the_other_slices_only_for_max_residual(state, monkeypatch):
+    calls = _recorded_svd_shapes(monkeypatch)
+    verdict = check(state)
+    analysis = verdict.analysis
+    assert verdict.decomposable is False and not verdict.degenerate
+    assert calls == [analysis.slices[0].shape]
+    assert "slice_values" not in vars(analysis) and "slice_ranks" not in vars(analysis)
+    residual = verdict.max_residual
+    assert calls == [analysis.slices[0].shape, analysis.slices[1:].shape]
+    monkeypatch.undo()
+    # slice 0 on its own and the rest in one call give the bits of one batched call
+    assert np.array_equal(analysis.slice_values, np.linalg.svd(analysis.slices, compute_uv=False))
+    assert residual == float(np.max(analysis.slice_values[:, 1:]))
+    if state.dims[0] <= 3:  # W: each slice holds one or two excitations of weight 1/3
+        assert abs(residual - 1 / np.sqrt(3)) <= 1e-15
+
+
+def test_product_state_check_makes_one_svd_call(monkeypatch):
+    # a single retained slice leaves no stack for the batched call
+    calls = _recorded_svd_shapes(monkeypatch)
+    verdict = check(product_state((3, 4, 5)))
+    assert verdict.decomposable
+    assert verdict.analysis.slice_ranks == (1,)
+    assert verdict.max_residual <= 1e-15
+    assert calls == [(4, 5)]
 
 
 @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 3, 4), (3, 1, 4)])
