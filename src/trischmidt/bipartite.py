@@ -33,20 +33,15 @@ class BipartiteSchmidt:
     input_norm: float
 
 
-def _as_state_matrix(v) -> np.ndarray:
-    m = linalg.as_complex_matrix(v)
-    if not m.any():
-        raise ZeroVector("cannot decompose the zero vector")
-    return m
-
-
 def schmidt_decompose(v) -> BipartiteSchmidt:
     """Schmidt-decompose a nonzero bipartite amplitude matrix.
 
     Zero coefficients are retained up to min(shape) so the basis blocks
     stay orthonormal and reconstruction keeps a predictable shape.
     """
-    m = _as_state_matrix(v)
+    m = linalg.as_complex_matrix(v)
+    if not m.any():
+        raise ZeroVector("cannot decompose the zero vector")
     coeffs, left, right = linalg.svd(m)
     return BipartiteSchmidt(coeffs, left, right.conj(), float(np.linalg.norm(m)))
 
@@ -67,8 +62,8 @@ def entropy_bits(probabilities, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def entanglement_entropy(v, tol: Tolerances = DEFAULT_TOL) -> float:
     """Von Neumann entropy (bits) across the cut of a normalized state."""
-    m = _as_state_matrix(v)
-    deviation = abs(float(np.linalg.norm(m)) - 1.0)
+    sd = schmidt_decompose(v)
+    deviation = abs(sd.input_norm - 1.0)
     if deviation > tol.recon_abs:
         raise NotNormalized(f"state norm deviates from 1 by {deviation:.3e}")
-    return entropy_bits(linalg.svd(m)[0] ** 2, tol)
+    return entropy_bits(sd.coefficients**2, tol)

@@ -11,6 +11,9 @@ conventions on the result:
 * exactly tied eigenvalues / singular values ordered by descending
   lexicographic key of the phase-fixed vectors, so identical inputs can
   never produce permuted outputs.
+
+``numerical_rank`` is the one rank count: of one descending spectrum, or
+row by row of a stack of them.
 """
 
 from __future__ import annotations
@@ -157,17 +160,14 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, u, v
 
 
-def numerical_rank(values, tol: Tolerances = DEFAULT_TOL) -> int:
+def numerical_rank(values, tol: Tolerances = DEFAULT_TOL) -> int | tuple[int, ...]:
     """Count entries strictly above ``rank_rel`` times the largest value.
 
-    ``values`` must be nonnegative and sorted descending.  Returns 0 for
-    an empty or all-zero list.
+    ``values`` must be nonnegative and sorted descending.  A 1-D list gives
+    one count, 0 when it is empty or all zero; a 2-D stack gives a tuple
+    with one count per row.
     """
     vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        return 0
-    top = float(vals[0])
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(vals > tol.rank_rel * top))
+    ranks = np.count_nonzero(vals > tol.rank_rel * vals[..., :1], axis=-1)
+    return tuple(ranks.tolist()) if vals.ndim > 1 else int(ranks)
 

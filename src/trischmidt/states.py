@@ -91,10 +91,15 @@ def partial_inner_product(
         raise DimensionMismatch(
             f"vector has length {vec.size}, party {party} has dimension {state.dims[party]}"
         )
-    nrm = float(np.linalg.norm(vec))
-    if not abs(nrm - 1.0) <= tol.recon_abs:  # a NaN norm fails too
-        raise NotNormalized(f"contraction vector norm deviates from 1 by {abs(nrm - 1.0):.3e}")
+    _check_unit_columns(vec, tol)
     return np.tensordot(vec.conj(), state.tensor, axes=(0, party))
+
+
+def _check_unit_columns(vectors: np.ndarray, tol: Tolerances) -> None:
+    """Raise NotNormalized unless each column of ``vectors`` has norm 1 within ``recon_abs``."""
+    deviation = float(np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)))
+    if not deviation <= tol.recon_abs:  # a NaN norm fails too
+        raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
 
 
 def _unfold(t: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:

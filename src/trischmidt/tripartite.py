@@ -16,6 +16,8 @@ construction, without re-checking it, and canonicalizes only the kept
 eigenvectors.  One product gives all slices; their singular values and leading
 factors (by power steps) are computed on first read.  A rank test reads slice 0
 first: a non-degenerate pivot forces the slicing, so one entangled slice rejects.
+An analysis carries the ``Tolerances`` it was made with, and every test of it
+(ranks, factor families, refinement) reads them from there.
 
 Rank-one slices alone are *not* enough: a state such as
 ``a|000> + b|101>`` has product slices whose B-side factors coincide,
@@ -45,9 +47,9 @@ import numpy as np
 
 from . import linalg
 from .bipartite import entropy_bits
-from .exceptions import DimensionMismatch, Indeterminate, NotNormalized, RankNotOne
+from .exceptions import DimensionMismatch, Indeterminate, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
-from .states import PureState, _check_party, _gram, _unfold, validate
+from .states import PureState, _check_party, _check_unit_columns, _gram, _unfold, validate
 
 # Unused here, but kept importable by name because the benchmark tracer wraps
 # them, as it wraps ``_shared_basis_spectrum`` below.
@@ -69,21 +71,21 @@ class SliceAnalysis:
     ``slices`` stacks them (r x d1 x d2, over the two remaining parties);
     row i of ``slice_values`` (r x min(d1, d2)) holds slice i's descending
     singular values, slice 0's by its own call and the rest by one batched call;
-    ``slice_ranks`` counts those above ``rank_rel`` times the row's largest.
+    ``slice_ranks`` counts those above ``tol.rank_rel`` times the row's largest.
     Column i of ``left_factors`` (d1 x r) and ``right_factors`` (d2 x r) are
     its leading factors, found by power steps and meaningful only when slice i
-    has rank one.  All of these are computed on first read.
+    has rank one.  All of these are computed on first read.  ``tol`` holds the
+    tolerances the analysis was made with, and every later test of it reads them.
     """
 
-    dims: tuple[int, ...]
     pivot_party: int
     pivot_basis: np.ndarray
     pivot_spectrum: np.ndarray
     slices: np.ndarray
-    rank_rel: float
+    tol: Tolerances
 
     _first_values = cached_property(lambda self: _values(self.slices[0])[None])
-    slice_ranks = cached_property(lambda self: _ranks(self.slice_values, self.rank_rel))
+    slice_ranks = cached_property(lambda self: linalg.numerical_rank(self.slice_values, self.tol))
     _factors = cached_property(lambda self: _power_step_factors(self.slices))
     left_factors = property(lambda self: self._factors[0])
     right_factors = property(lambda self: self._factors[1])
@@ -171,11 +173,6 @@ def _values(slices: np.ndarray) -> np.ndarray:
     return linalg._lapack(np.linalg.svd, slices, compute_uv=False)
 
 
-def _ranks(values: np.ndarray, rank_rel: float) -> tuple[int, ...]:
-    """Numerical rank of each row of singular values, relative to its largest."""
-    return tuple(np.count_nonzero(values > rank_rel * values[:, :1], axis=1).tolist())
-
-
 def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Leading factors of each slice by power steps from its largest row; exact for rank one."""
     rows = np.argmax(np.linalg.norm(slices, axis=2), axis=1)
@@ -201,18 +198,9 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     m = _unfold(state.tensor, (pivot,))
     # rho is exactly Hermitian by construction, so it is not checked again
     spectrum, basis = linalg._eigh_canonical(_gram(m), tol, retained=True)
-    deviation = float(np.max(np.abs(np.linalg.norm(basis, axis=0) - 1.0)))
-    if deviation > tol.recon_abs:
-        raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
+    _check_unit_columns(basis, tol)
     slices = (basis.conj().T.copy() @ m).reshape(-1, *state.dims[:pivot], *state.dims[pivot + 1:])
-    return SliceAnalysis(
-        dims=state.dims,
-        pivot_party=pivot,
-        pivot_basis=basis,
-        pivot_spectrum=spectrum,
-        slices=slices,
-        rank_rel=tol.rank_rel,
-    )
+    return SliceAnalysis(pivot, basis, spectrum, slices, tol)
 
 
 def _shared_factors(slices, tol: Tolerances):
@@ -275,17 +263,17 @@ def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) 
 
 def _all_rank_one(analysis: SliceAnalysis) -> bool:
     """Whether every slice has rank one; a defective slice 0 answers before the rest are read."""
-    first = _ranks(analysis._first_values, analysis.rank_rel)
+    first = linalg.numerical_rank(analysis._first_values, analysis.tol)
     return first == (1,) and all(rank == 1 for rank in analysis.slice_ranks)
 
 
-def _configuration_valid(analysis: SliceAnalysis, tol: Tolerances) -> bool:
+def _configuration_valid(analysis: SliceAnalysis) -> bool:
     if not _all_rank_one(analysis):
         return False
-    return _families_orthonormal(analysis.left_factors, analysis.right_factors, tol)
+    return _families_orthonormal(analysis.left_factors, analysis.right_factors, analysis.tol)
 
 
-def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) -> SliceAnalysis | None:
+def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
     """Rotate the retained slices to a rank-one slicing, or None when none exists.
 
     Returns the input unchanged when every slice already has rank one.
@@ -296,12 +284,13 @@ def refine_degenerate(analysis: SliceAnalysis, tol: Tolerances = DEFAULT_TOL) ->
     orthogonal (the slices are), and the closest unitary to ``diag^H``
     rotates the slices onto the rank-one terms.  The pivot basis turns with
     them, ``u~_m = sum_i conj(coeff[m, i]) u_i``, so that each rotated basis
-    vector still gives its rotated slice by the partial inner product.
+    vector still gives its rotated slice by the partial inner product.  The
+    analysis' own tolerances apply throughout.
     """
     if _all_rank_one(analysis):
         return analysis
     slices = analysis.slices
-    shared = _shared_factors(slices, tol)
+    shared = _shared_factors(slices, analysis.tol)
     if shared is None or shared[2].shape[1] != len(slices):
         return None
     u, _, vh = linalg._lapack(np.linalg.svd, shared[2].conj().T)
@@ -381,12 +370,12 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
         raise DimensionMismatch(f"pivot {PARTY_NAMES[analysis.pivot_party]} has dimension 1")
     groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
     degenerate = any(len(g) > 1 for g in groups)
-    if _configuration_valid(analysis, tol):
+    if _configuration_valid(analysis):
         return Verdict(True, construct(analysis), analysis, degenerate)
     if not degenerate:
         return Verdict(False, None, analysis, False)
-    refined = refine_degenerate(analysis, tol)
-    if refined is not None and _configuration_valid(refined, tol):
+    refined = refine_degenerate(analysis)
+    if refined is not None and _configuration_valid(refined):
         return Verdict(True, construct(refined), refined, True)
 
     # Degenerate pivot spectrum and no valid slicing found: reject only on

@@ -260,7 +260,7 @@ def test_check_report_is_byte_deterministic(tmp_path, capsys):
 def test_check_indeterminate_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     # a rotated GHZ 3^3 with refinement switched off: every pivot is indeterminate
     state = haar_rotated(ghz_state((3, 3, 3)), seed=0)
-    monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis, tol: None)
+    monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis: None)
     path = write_state(tmp_path, "g.json", state)
     code, out, _ = run_cli(["check", path], capsys)
     assert code == EXIT_INDETERMINATE

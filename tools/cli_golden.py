@@ -5,10 +5,12 @@
     python3 tools/cli_golden.py --compare parent.jsonl change.jsonl
 
 The first form writes a fixed set of state files, built with plain numpy
-from fixed seeds, into a temporary directory: 24 three-party states (Haar,
+from fixed seeds, into a temporary directory: 27 three-party states (Haar,
 GHZ, W, product, distinct and tied weights, a 1e-7 weight gap, the
-antisymmetric state and a|000>+b|101>), five bad files (not normalised,
-the JSON literal ``NaN``, truncated, an amplitude that is a 401-digit
+antisymmetric state, a|000>+b|101>, and three degenerate states that only the
+fallback rejections decide: an untied slice of rank two, plain and
+Haar-rotated, and unequal single-party spectra), five bad files (not
+normalised, the JSON literal ``NaN``, truncated, an amplitude that is a 401-digit
 integer, arrays nested 100 000 deep) and five two-party states (Bell and
 Haar up to 2x4096).  It then runs ``check``, ``check --all-pivots`` and
 ``spectra`` on the three-party and bad files, and ``decompose-bipartite``
@@ -97,6 +99,14 @@ def _product(dims, seed: int) -> np.ndarray:
     return np.einsum("a,b,c->abc", a, b, c)
 
 
+def _rotated(t: np.ndarray, seed: int) -> np.ndarray:
+    """``t`` with a Haar unitary applied to each party."""
+    rng = np.random.default_rng(seed)
+    for party, d in enumerate(t.shape):
+        t = np.moveaxis(np.tensordot(_unitary(d, rng), t, axes=(1, party)), 0, party)
+    return t
+
+
 def _antisymmetric() -> np.ndarray:
     terms = [((i, j, k), float(np.linalg.det(np.eye(3)[[i, j, k]])))
              for i in range(3) for j in range(3) for k in range(3) if len({i, j, k}) == 3]
@@ -118,6 +128,12 @@ def three_party_states() -> dict[str, np.ndarray]:
     states["gap1e-7-3x5x5"] = _schmidt((3, 5, 5), [0.4, 0.4 - 1e-7, 0.2 + 1e-7], 402)
     states["antisym-3x3x3"] = _antisymmetric()
     states["a000-b101-2x2x2"] = _basis_sum((2, 2, 2), [((0, 0, 0), 0.6), ((1, 0, 1), 0.8)])
+    untied = _basis_sum((3, 4, 4), [((0, 0, 0), np.sqrt(0.2)), ((0, 1, 1), np.sqrt(0.2)),
+                                    ((1, 2, 2), np.sqrt(0.3)), ((2, 3, 3), np.sqrt(0.3))])
+    states["untied-entangled-3x4x4"] = untied
+    states["untied-entangled-rot-3x4x4"] = _rotated(untied, 403)
+    states["unequal-spectra-2x3x3"] = _basis_sum(
+        (2, 3, 3), [((0, 0, 0), 0.5), ((0, 1, 1), 0.5), ((1, 2, 2), np.sqrt(0.5))])
     return states
 
 
