@@ -47,16 +47,12 @@ def schmidt_decompose(v) -> BipartiteSchmidt:
 
 
 def entropy_bits(probabilities, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Shannon entropy (base 2) of a spectrum, ignoring zero entries."""
+    """Shannon entropy (base 2) of a spectrum in any order, over the entries ``numerical_rank`` keeps."""
     p = np.asarray(probabilities, dtype=float)
     if not np.isfinite(p).all():
         raise DimensionMismatch("spectrum contains non-finite entries")
-    if p.size == 0:
-        return 0.0
-    top = float(p.max(initial=0.0))
-    if top <= 0.0:
-        return 0.0
-    p = p[p > tol.rank_rel * top]
+    p = np.maximum(np.sort(p)[::-1], 0.0)
+    p = p[: linalg.numerical_rank(p, tol)]
     return float(0.0 - (p * np.log2(p)).sum())  # 0 - x, not -x: never -0.0
 
 

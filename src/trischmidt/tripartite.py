@@ -16,6 +16,9 @@ construction, without re-checking it, and canonicalizes only the kept
 eigenvectors.  One product gives all slices; their singular values and leading
 factors (by power steps) are computed on first read.  A rank test reads slice 0
 first: a non-degenerate pivot forces the slicing, so one entangled slice rejects.
+Past slice 0 it proves rank one from each slice's power-step residual, which
+bounds its second singular value, and reads the slices' SVD only when that
+proof fails; the weights are the squared slice norms.
 An analysis carries the ``Tolerances`` it was made with, and every test of it
 (ranks, factor families, refinement) reads them from there.
 
@@ -74,8 +77,13 @@ class SliceAnalysis:
     ``slice_ranks`` counts those above ``tol.rank_rel`` times the row's largest.
     Column i of ``left_factors`` (d1 x r) and ``right_factors`` (d2 x r) are
     its leading factors, found by power steps and meaningful only when slice i
-    has rank one.  All of these are computed on first read.  ``tol`` holds the
-    tolerances the analysis was made with, and every later test of it reads them.
+    has rank one.  The same power steps give ``rank_one_residuals[i]``, slice
+    i's ``||X - (Xv) v^H||_F / ||Xv||``, an upper bound on its
+    ``sigma_2 / sigma_1``, and ``squared_norms[i]``, its ``||X||_F^2``.
+    ``all_rank_one`` is the one rank test of the slicing.  All of these are
+    computed on first read, the factors, residuals and norms by one pass.
+    ``tol`` holds the tolerances the analysis was made with, and every later
+    test of it reads them.
     """
 
     pivot_party: int
@@ -89,11 +97,29 @@ class SliceAnalysis:
     _factors = cached_property(lambda self: _power_step_factors(self.slices))
     left_factors = property(lambda self: self._factors[0])
     right_factors = property(lambda self: self._factors[1])
+    rank_one_residuals = property(lambda self: self._factors[2])
+    squared_norms = property(lambda self: self._factors[3])
 
     @cached_property
     def slice_values(self) -> np.ndarray:
         first, rest = self._first_values, self.slices[1:]
         return np.concatenate((first, _values(rest))) if len(rest) else first
+
+    @cached_property
+    def all_rank_one(self) -> bool:
+        """Whether every slice has rank one, as ``slice_ranks`` counts it, reading as little as it can.
+
+        A defective slice 0 answers from its own SVD.  Otherwise residuals all
+        within ``rank_rel / 2`` prove rank one without the other slices' SVDs: a
+        residual bounds ``sigma_2 / sigma_1`` from above, and the other half of
+        ``rank_rel`` covers the rounding of both it and the SVD, a few float64
+        ulps of ``sigma_1``.  Only when that proof fails are ``slice_ranks`` read.
+        """
+        if linalg.numerical_rank(self._first_values, self.tol) != (1,):
+            return False
+        if np.all(self.rank_one_residuals <= self.tol.rank_rel / 2):
+            return True
+        return all(rank == 1 for rank in self.slice_ranks)
 
     @property
     def remaining_parties(self) -> tuple[int, int]:
@@ -173,15 +199,29 @@ def _values(slices: np.ndarray) -> np.ndarray:
     return linalg._lapack(np.linalg.svd, slices, compute_uv=False)
 
 
-def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Leading factors of each slice by power steps from its largest row; exact for rank one."""
-    rows = np.argmax(np.linalg.norm(slices, axis=2), axis=1)
+def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Leading factors of each slice by power steps from its largest row; exact for rank one.
+
+    Also returns each slice's residual ``||X - (Xv) v^H||_F / ||Xv||`` and its
+    squared norm ``||X||_F^2``.  Since ``sigma_2(X) <= ||X - R||_F`` for every
+    rank-one ``R`` (Eckart-Young-Mirsky) and ``sigma_1(X) >= ||Xv||``, the
+    residual bounds ``sigma_2 / sigma_1`` from above.  Squared moduli are summed
+    over the float view, so only the residual needs an r x d1 x d2 temporary.
+    """
+    flat = slices.view(np.float64)
+    row_squares = np.einsum("ijk,ijk->ij", flat, flat)
+    rows = np.argmax(row_squares, axis=1)
     u = slices @ slices[np.arange(len(slices)), rows, :, None].conj()
     vh = np.swapaxes(u.conj(), 1, 2) @ slices
     vh /= np.linalg.norm(vh, axis=2, keepdims=True)
     u = slices @ np.swapaxes(vh.conj(), 1, 2)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u[:, :, 0].T, vh[:, 0, :].T
+    gain = np.linalg.norm(u, axis=1, keepdims=True)
+    rest = u * vh
+    np.subtract(slices, rest, out=rest)
+    rest = rest.view(np.float64)
+    residuals = np.sqrt(np.einsum("ijk,ijk->i", rest, rest)) / gain[:, 0, 0]
+    u /= gain
+    return u[:, :, 0].T, vh[:, 0, :].T, residuals, row_squares.sum(axis=1)
 
 
 def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> SliceAnalysis:
@@ -261,14 +301,8 @@ def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) 
     )
 
 
-def _all_rank_one(analysis: SliceAnalysis) -> bool:
-    """Whether every slice has rank one; a defective slice 0 answers before the rest are read."""
-    first = linalg.numerical_rank(analysis._first_values, analysis.tol)
-    return first == (1,) and all(rank == 1 for rank in analysis.slice_ranks)
-
-
 def _configuration_valid(analysis: SliceAnalysis) -> bool:
-    if not _all_rank_one(analysis):
+    if not analysis.all_rank_one:
         return False
     return _families_orthonormal(analysis.left_factors, analysis.right_factors, analysis.tol)
 
@@ -287,7 +321,7 @@ def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
     vector still gives its rotated slice by the partial inner product.  The
     analysis' own tolerances apply throughout.
     """
-    if _all_rank_one(analysis):
+    if analysis.all_rank_one:
         return analysis
     slices = analysis.slices
     shared = _shared_factors(slices, analysis.tol)
@@ -305,16 +339,16 @@ def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
 def construct(analysis: SliceAnalysis) -> TripartiteSchmidt:
     """Assemble the decomposition from an all-rank-one slicing.
 
-    Weights are the squared top singular values (the squared slice
-    norms); bases are the pivot basis and the slice factor pairs,
-    sorted by descending weight.  Phases are normalized so the largest
-    entries of the A and B vectors are real positive, with the leftover
-    phase absorbed by the C vector.
+    Weights are the squared slice norms (``squared_norms``, sums of squared
+    moduli, not squared singular values); bases are the pivot basis and the
+    slice factor pairs, sorted by descending weight with exact ties kept in
+    slice order.  Phases are normalized so the largest entries of the A and B
+    vectors are real positive, with the leftover phase absorbed by the C
+    vector.  Raises :class:`RankNotOne` unless ``all_rank_one`` holds.
     """
-    if any(rank != 1 for rank in analysis.slice_ranks):
+    if not analysis.all_rank_one:
         raise RankNotOne(f"slice ranks {analysis.slice_ranks} are not all one")
-    # C pow(x, 2) as in float ** 2; x * x differs in the last bit of some weights
-    weights = np.float_power(analysis.slice_values[:, 0], 2)
+    weights = analysis.squared_norms
     first, second = analysis.remaining_parties
     blocks = {
         analysis.pivot_party: analysis.pivot_basis,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from trischmidt import (
     DimensionMismatch,
     NotNormalized,
+    Tolerances,
     ZeroVector,
     entanglement_entropy,
     entropy_bits,
@@ -99,6 +101,19 @@ def test_entropy_bits_rejects_non_finite_spectrum():
     for spectrum in ([np.nan, 0.5], [0.5, np.inf]):
         with pytest.raises(DimensionMismatch):
             entropy_bits(spectrum)
+
+
+def test_entropy_bits_reads_any_order_through_the_rank_cutoff():
+    # the cutoff is numerical_rank's: entries at or below rank_rel times the
+    # largest count as zero, wherever they stand
+    descending = [0.5, 0.3, 0.2, 1e-11, 0.0]
+    expected = entropy_bits(descending)
+    assert abs(expected - entropy_bits([0.5, 0.3, 0.2])) <= 1e-15
+    for order in itertools.permutations(descending):
+        assert abs(entropy_bits(order) - expected) <= 1e-15
+    assert entropy_bits([0.0, 1e-11, 1.0]) == 0.0
+    assert entropy_bits([]) == entropy_bits([0.0, 0.0]) == entropy_bits([-1.0]) == 0.0
+    assert entropy_bits([0.5, 1e-11, 0.5], Tolerances(rank_rel=1e-12)) > 1.0
 
 
 def test_entropy_09_01_against_direct_formula():

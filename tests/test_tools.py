@@ -28,9 +28,25 @@ def test_verdict_digest_writes_and_self_compares(tmp_path):
         assert record["decomposable"] is None and record["degenerate"] is True
         assert record["slice_ranks"] and record["max_residual"] is not None
         assert record["basis_sha256"] and record["values_sha256"]
+    # an accepted check records how far its weights are from the constructed ones
+    accepted = [r for r in records if r["decomposable"]]
+    assert accepted
+    assert all(0.0 <= r["weight_error"] <= 1e-14 for r in accepted)
+    assert all(r["weight_error"] is None for r in records if not r["decomposable"])
     same = _tool("verdict_digest.py", "--compare", str(digest), str(digest))
     assert same.returncode == 0, same.stdout
     assert "verdict-level differences: 0; bit-level differences: 0" in same.stdout
+    assert f"closer in 0, farther in 0 of {len(accepted)} accepted checks" in same.stdout
+    # one weight moved away from the constructed one: a bit-level difference, farther in one
+    moved = accepted[0]
+    moved["weights"][0] += 1e-15
+    moved["weight_error"] += 1e-15
+    other = tmp_path / "other.jsonl"
+    other.write_text("".join(json.dumps(r) + "\n" for r in records))
+    diff = _tool("verdict_digest.py", "--compare", str(digest), str(other))
+    assert diff.returncode == 1, diff.stdout
+    assert "verdict-level differences: 0; bit-level differences: 1" in diff.stdout
+    assert f"closer in 0, farther in 1 of {len(accepted)} accepted checks" in diff.stdout
 
 
 def test_cli_golden_compare_exits_one_on_a_differing_run(tmp_path):

@@ -458,11 +458,12 @@ def _assert_leading_factors(analysis):
         assert np.max(np.abs(rebuilt - analysis.slices[i])) <= second + 1e-12
 
 
-@pytest.mark.parametrize("state, refines", [
-    (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
+@pytest.mark.parametrize("state, decomposable", [
+    (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),  # refined
     (haar_state((32, 32, 32), seed=94), False),
+    (schmidt_state((16, 16, 16), np.arange(16, 0, -1) / 136, seed=93), True),
 ])
-def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
+def test_check_decides_on_one_batched_slice_svd(state, decomposable, monkeypatch):
     from trischmidt import bipartite, states
 
     def forbidden(*args, **kwargs):
@@ -497,30 +498,30 @@ def test_check_decides_on_one_batched_slice_svd(state, refines, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", recorded_svd)
     verdict = check(state)
     monkeypatch.undo()
-    assert verdict.decomposable is refines
+    assert verdict.decomposable is decomposable
     assert len(analyses) == 1
-    assert len(refined) == int(refines)
-    # the slices get singular values only: slice 0 of each analysis by one 2-D
-    # call, and the rest by one batched call per analysis whose ranks are read
+    assert len(refined) == int(verdict.degenerate)
+    # the slices get singular values only, and only slice 0 of each analysis
+    # by one 2-D call: an entangled slice 0 rejects the eigenbasis slicing on
+    # its own, and an accepted slicing is proved rank one by its power-step
+    # residuals, so no check makes the batched 3-D call over the other slices
     analyses += refined
     values_only = [shape for shape, uv in svd_calls if not uv]
-    read = [a for a in analyses if "slice_ranks" in vars(a)]
-    assert [shape for shape in values_only if len(shape) == 2] == [a.slices[0].shape for a in analyses]
-    assert [shape for shape in values_only if len(shape) == 3] == [a.slices[1:].shape for a in read]
-    assert not any(len(shape) == 3 for shape, uv in svd_calls if uv)
-    # an entangled slice 0 rejects the eigenbasis slicing on its own; only the
-    # accepted refinement has its ranks read
-    assert read == refined
+    assert values_only == [a.slices[0].shape for a in analyses]
+    assert not any(len(shape) == 3 for shape, _ in svd_calls)
+    assert not any("slice_values" in vars(a) or "slice_ranks" in vars(a) for a in analyses)
     for analysis in analyses:
         r = analysis.pivot_basis.shape[1]
         first, second = (state.dims[p] for p in analysis.remaining_parties)
         assert isinstance(analysis.slices, np.ndarray)
         assert analysis.slices.shape == (r, first, second)
+        # read after the check, the values are still those of one batched SVD
         expected = np.linalg.svd(analysis.slices, compute_uv=False)
         assert np.array_equal(analysis.slice_values, expected)
         _assert_leading_factors(analysis)
     if verdict.decomposable:
         assert set(verdict.analysis.slice_ranks) == {1}
+        assert np.all(verdict.analysis.rank_one_residuals <= 1e-14)
 
 
 def test_power_step_factors_of_nearly_rank_one_slices():
@@ -538,6 +539,40 @@ def test_power_step_factors_of_nearly_rank_one_slices():
     assert analysis.slice_ranks == (1,) * 5
     assert np.all(analysis.slice_values[2:, 1] > 0.0)
     _assert_leading_factors(analysis)
+    # the power-step residual bounds sigma_2 / sigma_1 from above, and here
+    # meets it within rounding; the squared norms are the sums of sigma^2
+    values = analysis.slice_values
+    bound = values[:, 1] / values[:, 0]
+    assert np.all(analysis.rank_one_residuals >= bound - 1e-15)
+    assert np.all(analysis.rank_one_residuals <= bound + 1e-15)
+    assert np.max(np.abs(analysis.squared_norms - np.sum(values**2, axis=1))) <= 1e-15
+
+
+@pytest.mark.parametrize("rank_rel", [1e-10, 1e-6, 1e-15])
+@pytest.mark.parametrize("ratio", [0.1, 0.45, 0.55, 0.9, 1.1, 10])
+def test_rank_one_proof_agrees_with_the_svd_rule(rank_rel, ratio):
+    # four slices, one of them (slice `seed % 4`, so slice 0 too) with
+    # sigma_2 / sigma_1 = ratio * rank_rel and the rest exactly rank one
+    tol = Tolerances(rank_rel=rank_rel)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        stack = []
+        for i in range(4):
+            a, b = haar_unitary(5, rng), haar_unitary(6, rng)
+            second = ratio * rank_rel if i == seed % 4 else 0.0
+            slice_ = np.outer(a[:, 0], b[0]) + second * np.outer(a[:, 1], b[1])
+            stack.append(rng.uniform(0.1, 1.0) * slice_)
+        analysis = tripartite.SliceAnalysis(pivot_party=0, pivot_basis=None, pivot_spectrum=None,
+                                            slices=np.array(stack), tol=tol)
+        proved = analysis.all_rank_one
+        read = "slice_ranks" in vars(analysis)
+        assert proved == all(rank == 1 for rank in analysis.slice_ranks), seed
+        if rank_rel >= 1e-10:  # far above rounding, so the residual decides the side
+            assert proved is (ratio < 1)
+            assert read is (0.5 < ratio and (ratio < 1 or seed % 4 != 0))
+        if not proved:
+            with pytest.raises(RankNotOne):
+                construct(analysis)
 
 
 def _recorded_svd_shapes(monkeypatch) -> list:

@@ -8,7 +8,9 @@ The first form runs ``tripartite.check`` on every input of ``decide-generic``
 and ``decide-degenerate`` (built by ``bench/cases.py``, which is only
 imported) for each seed and each pivot (default, 0, 1, 2), and writes one
 JSON record per check: the verdict, the ``degenerate`` flag, the exception
-type, ``slice_ranks``, ``repr(max_residual)``, the weights, and SHA-256
+type, ``slice_ranks``, ``repr(max_residual)``, the weights, an accepted
+check's ``weight_error`` (the largest deviation of its weights from the
+input's constructed ``Case.weights``), and SHA-256
 digests of the bytes of the verdict's analysis' ``pivot_basis`` and
 ``slice_values`` and of an accepted decomposition's ``basis_a``,
 ``basis_b`` and ``basis_c`` together, so that a change can show that it
@@ -25,8 +27,10 @@ slice ranks, or presence or length of numbers differ (a verdict-level
 difference), counts per input kind the records that agree on all of those
 but differ in some digest or number (a bit-level difference), and gives the
 largest deviation and count of changed values of the weights and of
-``max_residual`` over every record pair with numbers on both sides.  It exits
-with 1 when some record differs at either level.
+``max_residual`` over every record pair with numbers on both sides.  Over the
+record pairs with a ``weight_error`` on both sides it gives each side's largest
+and counts the checks whose weights moved closer to or farther from the
+constructed ones.  It exits with 1 when some record differs at either level.
 """
 
 from __future__ import annotations
@@ -63,7 +67,14 @@ def _bases_hash(decomposition):
     return h.hexdigest()
 
 
-def _record(tripartite, errors, state, pivot) -> dict:
+def _weight_error(accepted, case):
+    """Largest deviation of accepted weights from the constructed ones, when both have one per term."""
+    if accepted is None or case.weights is None or accepted.weights.shape != case.weights.shape:
+        return None
+    return float(abs(accepted.weights - case.weights).max())
+
+
+def _record(tripartite, errors, case, state, pivot) -> dict:
     error = None
     try:
         verdict = tripartite.check(state, pivot=pivot)
@@ -71,13 +82,14 @@ def _record(tripartite, errors, state, pivot) -> dict:
         verdict, error = exc.verdict, "Indeterminate"
     except errors.TrischmidtError as exc:
         return dict(decomposable=None, degenerate=None, error=type(exc).__name__,
-                    slice_ranks=None, max_residual=None, weights=None, bases_sha256=None,
-                    basis_sha256=None, values_sha256=None)
+                    slice_ranks=None, max_residual=None, weights=None, weight_error=None,
+                    bases_sha256=None, basis_sha256=None, values_sha256=None)
     accepted = verdict.decomposition if verdict.decomposable else None
     return dict(decomposable=verdict.decomposable, degenerate=verdict.degenerate, error=error,
                 slice_ranks=list(verdict.analysis.slice_ranks),
                 max_residual=repr(verdict.max_residual),
                 weights=accepted.weights.tolist() if accepted else None,
+                weight_error=_weight_error(accepted, case),
                 bases_sha256=_bases_hash(accepted),
                 **_hashes(verdict.analysis))
 
@@ -96,7 +108,7 @@ def digest(src: Path, seeds, out) -> int:
                 state = PureState(case.dims, case.tensor)
                 for pivot in PIVOTS:
                     record = dict(workload=workload, seed=seed, input=index, label=case.label,
-                                  pivot=pivot, **_record(tripartite, errors, state, pivot))
+                                  pivot=pivot, **_record(tripartite, errors, case, state, pivot))
                     out.write(json.dumps(record) + "\n")
                     count += 1
     return count
@@ -143,6 +155,12 @@ def compare(path_a, path_b) -> int:
           f"bit-level differences: {sum(bits.values())} {dict(sorted(bits.items()))}")
     print(f"weights: max deviation {weight_dev:.3g}, {weights_changed} values changed")
     print(f"max_residual: max deviation {residual_dev:.3g}, {residuals_changed} values changed")
+    errors = [(ra["weight_error"], rb["weight_error"]) for ra, rb in paired
+              if ra.get("weight_error") is not None and rb.get("weight_error") is not None]
+    closer, farther = sum(y < x for x, y in errors), sum(y > x for x, y in errors)
+    print(f"weight error against the constructed weights: max {max((x for x, _ in errors), default=0.0):.3g}"
+          f" -> {max((y for _, y in errors), default=0.0):.3g}; closer in {closer}, farther in {farther}"
+          f" of {len(errors)} accepted checks")
     return 1 if mismatches or bits else 0
 
 
