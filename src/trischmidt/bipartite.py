@@ -57,9 +57,16 @@ def entropy_bits(probabilities, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def entanglement_entropy(v, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Von Neumann entropy (bits) across the cut of a normalized state."""
-    sd = schmidt_decompose(v)
-    deviation = abs(sd.input_norm - 1.0)
+    """Von Neumann entropy (bits) across the cut of a normalized state.
+
+    Reads the norm from the matrix and the Schmidt coefficients from one
+    values-only SVD, so no singular vector is computed; the errors are those of
+    ``schmidt_decompose``, plus ``NotNormalized``.
+    """
+    m = linalg.as_complex_matrix(v)
+    if not m.any():
+        raise ZeroVector("cannot decompose the zero vector")
+    deviation = abs(float(np.linalg.norm(m)) - 1.0)
     if deviation > tol.recon_abs:
         raise NotNormalized(f"state norm deviates from 1 by {deviation:.3e}")
-    return entropy_bits(sd.coefficients**2, tol)
+    return entropy_bits(linalg._lapack(np.linalg.svd, m, compute_uv=False) ** 2, tol)

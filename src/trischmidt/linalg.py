@@ -122,7 +122,10 @@ def _lapack(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` for a ``numpy.linalg`` routine; LAPACK failure raises NoConvergence.
 
     Every raw ``np.linalg.svd`` and ``np.linalg.eigh`` call in the package goes
-    through here, with ``fn`` looked up by the caller at call time.
+    through here, with ``fn`` looked up by the caller at call time.  The tests
+    record each call here, routine, input shape and keywords, and compare them
+    with a table of the exact LAPACK work each answer makes
+    (``tests/test_work_budget.py``), where a lint also holds every raw call here.
     """
     try:
         return fn(*args, **kwargs)

@@ -140,6 +140,8 @@ def test_coefficients_match_reduced_density_spectrum():
         rho_a = v @ v.conj().T
         spec = np.sort(np.linalg.eigvalsh(rho_a))[::-1][: sd.coefficients.size]
         assert np.max(np.abs(sd.coefficients**2 - spec)) < 1e-10
+        # the entropy's values-only SVD agrees with the full decomposition
+        assert abs(entanglement_entropy(v) - entropy_bits(sd.coefficients**2)) <= 1e-15
         assert sd.coefficients.size == min(dims)
         assert numerical_rank(sd.coefficients) <= min(dims)
 

@@ -6,9 +6,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trischmidt import PureState, check, haar_unitary
+from trischmidt import check
 
-from helpers import apply_local_unitary
+from helpers import basis_state, haar_rotated, permute_parties
 
 
 @st.composite
@@ -23,21 +23,14 @@ def decomposable_states(draw):
     dims = tuple(draw(st.integers(terms, 6)) for _ in range(3))
     levels = draw(st.lists(st.integers(1, 4), min_size=terms, max_size=terms))
     weights = np.sort(np.array(levels, dtype=float) / sum(levels))[::-1]
-    amp = np.zeros(dims)
-    for i, w in enumerate(weights):
-        amp[i, i, i] = np.sqrt(w)
-    state = PureState(dims, amp.reshape(-1))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    for party, d in enumerate(dims):
-        state = apply_local_unitary(state, party, haar_unitary(d, rng))
-    return state, weights
+    state = basis_state(dims, [((i, i, i), np.sqrt(w)) for i, w in enumerate(weights)])
+    return haar_rotated(state, draw(st.integers(0, 2**32 - 1))), weights
 
 
 @given(decomposable_states())
 def test_decomposable_states_accepted_under_every_party_order(case):
     state, weights = case
     for perm in itertools.permutations(range(3)):
-        dims = tuple(state.dims[p] for p in perm)
-        verdict = check(PureState(dims, state.tensor.transpose(perm).reshape(-1)))
+        verdict = check(permute_parties(state, perm))
         assert verdict.decomposable, perm
         assert np.max(np.abs(verdict.decomposition.weights - weights)) <= 1e-9, perm

@@ -29,26 +29,14 @@ from trischmidt import (
 )
 from trischmidt.tripartite import degeneracy_groups, refine_degenerate
 
-from helpers import apply_local_unitary, haar_rotated
+from helpers import (ANTISYM, UNEQUAL_SPECTRA, UNTIED_ENTANGLED, apply_local_unitary, basis_state,
+                     haar_rotated, permute_parties, tied_blocks_state)
 
 GHZ = ghz_state((2, 2, 2))
 W = w_state((2, 2, 2))
-
-
-def _antisymmetric_state() -> PureState:
-    # eps_ijk / sqrt(6): every slice is an antisymmetric matrix of rank two
-    amp = np.zeros((3, 3, 3))
-    for perm in itertools.permutations(range(3)):
-        amp[perm] = np.linalg.det(np.eye(3)[list(perm)]) / np.sqrt(6)
-    return PureState((3, 3, 3), amp.reshape(-1))
-
-
-ANTISYM = _antisymmetric_state()
-
-
-def _permute_parties(state: PureState, perm) -> PureState:
-    dims = tuple(state.dims[p] for p in perm)
-    return PureState(dims, state.tensor.transpose(perm).reshape(-1))
+# product slices whose B factors coincide: rank-one slicing exists but no
+# single-sum decomposition does (single-party spectra disagree)
+PARALLEL = basis_state((2, 2, 2), [((0, 0, 0), np.sqrt(0.7)), ((1, 0, 1), np.sqrt(0.3))])
 
 
 def test_analyze_ghz():
@@ -149,25 +137,16 @@ def test_check_generator_state():
 
 
 def test_check_rejects_parallel_factor_state():
-    # product slices whose B factors coincide: rank-one slicing exists but
-    # no single-sum decomposition does (single-party spectra disagree)
-    amp = np.zeros((2, 2, 2), dtype=complex)
-    amp[0, 0, 0] = np.sqrt(0.7)
-    amp[1, 0, 1] = np.sqrt(0.3)
-    verdict = check(PureState((2, 2, 2), amp.reshape(-1)))
+    verdict = check(PARALLEL)
     assert not verdict.decomposable
     assert verdict.analysis.slice_ranks == (1, 1)
-    report = spectrum_report(PureState((2, 2, 2), amp.reshape(-1)))
-    assert not report["spectrum_equal"]["A_B"]
+    assert not spectrum_report(PARALLEL)["spectrum_equal"]["A_B"]
 
 
 def test_check_rejects_degenerate_parallel_factor_state():
     # the maximally entangled A-C pair times |0>_B: every A-basis slicing is
     # rank one, yet rho_B is pure; must be a clean rejection, not indeterminate
-    amp = np.zeros((2, 2, 2), dtype=complex)
-    amp[0, 0, 0] = np.sqrt(0.5)
-    amp[1, 0, 1] = np.sqrt(0.5)
-    verdict = check(PureState((2, 2, 2), amp.reshape(-1)))
+    verdict = check(basis_state((2, 2, 2), [((0, 0, 0), np.sqrt(0.5)), ((1, 0, 1), np.sqrt(0.5))]))
     assert not verdict.decomposable
     assert verdict.degenerate
 
@@ -190,41 +169,22 @@ def test_indeterminate_carries_the_unsettled_verdict(monkeypatch):
     assert verdict.max_residual == float(np.max(analysis.slice_values[:, 1:]))
 
 
-def _basis_state(dims, terms) -> PureState:
-    amp = np.zeros(dims, dtype=complex)
-    for index, amplitude in terms:
-        amp[index] = amplitude
-    return PureState(dims, amp.reshape(-1))
-
-
-# rho_A = diag(0.4, 0.3, 0.3): the untied eigenvector's slice has rank two in any basis
-UNTIED_ENTANGLED = _basis_state((3, 4, 4), [((0, 0, 0), np.sqrt(0.2)), ((0, 1, 1), np.sqrt(0.2)),
-                                            ((1, 2, 2), np.sqrt(0.3)), ((2, 3, 3), np.sqrt(0.3))])
-# rho_A = diag(0.5, 0.5) but rho_B = diag(0.25, 0.25, 0.5): no slicing can be rank one
-UNEQUAL_SPECTRA = _basis_state((2, 3, 3), [((0, 0, 0), 0.5), ((0, 1, 1), 0.5),
-                                           ((1, 2, 2), np.sqrt(0.5))])
-
-
 @pytest.mark.parametrize("state, spectra_rule", [
     (UNTIED_ENTANGLED, False),
     (haar_rotated(UNTIED_ENTANGLED, seed=3), False),
     (UNEQUAL_SPECTRA, True),
     (haar_rotated(UNEQUAL_SPECTRA, seed=3), True),
 ], ids=["untied-entangled", "untied-entangled-rot", "unequal-spectra", "unequal-spectra-rot"])
-def test_degenerate_fallback_rejections(state, spectra_rule, monkeypatch):
+def test_degenerate_fallback_rejections(state, spectra_rule):
     # a degenerate pivot that refinement cannot slice to rank one is rejected
-    # either by an untied slice of rank > 1 or by unequal single-party spectra
-    calls = []
-    party_spectra = tripartite._party_spectra
-    monkeypatch.setattr(tripartite, "_party_spectra",
-                        lambda s: calls.append(s) or party_spectra(s))
+    # either by an untied slice of rank > 1 or by unequal single-party spectra;
+    # only the spectra rule reads the unfoldings (tests/test_work_budget.py)
     verdict = check(state)
     assert verdict.decomposable is False and verdict.degenerate
     analysis = verdict.analysis
     groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)])
     untied_defect = any(len(g) == 1 and analysis.slice_ranks[g[0]] > 1 for g in groups)
     assert untied_defect is not spectra_rule
-    assert len(calls) == spectra_rule
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-7, 3e-8])
@@ -292,11 +252,8 @@ def test_refine_recovers_rotated_ghz():
 
 def test_refine_handles_mixed_bell_slices():
     # |0>(Phi+) + |1>(Phi-) is GHZ in disguise; both slices are rank two
-    amp = np.zeros((2, 2, 2), dtype=complex)
-    amp[0, 0, 0] = amp[0, 1, 1] = amp[1, 0, 0] = 0.5
-    amp[1, 1, 1] = -0.5
-    state = PureState((2, 2, 2), amp.reshape(-1))
-    verdict = check(state)
+    verdict = check(basis_state((2, 2, 2), [((0, 0, 0), 0.5), ((0, 1, 1), 0.5), ((1, 0, 0), 0.5),
+                                            ((1, 1, 1), -0.5)]))
     assert verdict.decomposable
     assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-9
     # the slices of eps_ijk share no factor bases: every combination has rank two
@@ -325,11 +282,7 @@ def test_reconstruct_from_explicit_decomposition():
 
 
 def test_construct_canonical_phases():
-    rng = np.random.default_rng(99)
-    state = schmidt_state((3, 4, 4), [0.5, 0.3, 0.2], seed=44)
-    for party in range(3):
-        state = apply_local_unitary(state, party, haar_unitary(state.dims[party], rng))
-    sd = check(state).decomposition
+    sd = check(haar_rotated(schmidt_state((3, 4, 4), [0.5, 0.3, 0.2], seed=44), 99)).decomposition
     for block in (sd.basis_a, sd.basis_b):
         for i in range(sd.weights.size):
             top = block[np.argmax(np.abs(block[:, i])), i]
@@ -390,31 +343,6 @@ def test_spectrum_report_matches_reduced_density_eigenvalues(dims):
     assert report["spectrum_equal"]["A_BC"]
 
 
-def test_spectrum_report_builds_no_density_matrix(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("spectrum_report must not build or eigendecompose rho")
-
-    monkeypatch.setattr(tripartite, "reduced_density", forbidden)
-    monkeypatch.setattr(linalg, "hermitian_eigendecompose", forbidden)
-    report = spectrum_report(haar_state((2, 64, 64), seed=3200))
-    bc = report["spectra"]["BC"]
-    assert bc.shape == (64 * 64,)
-    assert np.max(np.abs(bc[2:]), initial=0.0) == 0.0
-    assert report["spectrum_equal"]["A_BC"]
-
-
-def test_check_and_spectra_never_call_reduced_density(monkeypatch):
-    # analyze takes rho and the slices from one unfolding of the state
-    def forbidden(*args, **kwargs):
-        raise AssertionError("tripartite.reduced_density must not be called")
-
-    monkeypatch.setattr(tripartite, "reduced_density", forbidden)
-    for state in (GHZ, W, haar_state((3, 4, 5), seed=3300)):
-        for pivot in (None, 0, 1, 2):
-            check(state, pivot=pivot)
-        spectrum_report(state)
-
-
 def test_spectrum_report_maps_svd_failure_to_no_convergence(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
@@ -462,66 +390,30 @@ def _assert_leading_factors(analysis):
     (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),  # refined
     (haar_state((32, 32, 32), seed=94), False),
     (schmidt_state((16, 16, 16), np.arange(16, 0, -1) / 136, seed=93), True),
-])
-def test_check_decides_on_one_batched_slice_svd(state, decomposable, monkeypatch):
-    from trischmidt import bipartite, states
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("check must not decompose or contract the slices one by one")
-
-    analyses, refined = [], []
-    refine = tripartite.refine_degenerate
-
-    def recorded_analysis(*args, **kwargs):
-        analyses.append(analyze(*args, **kwargs))
-        return analyses[-1]
-
-    def recorded(*args):
-        refined.append(refine(*args))
-        return refined[-1]
-
-    svd_calls = []
-    numpy_svd = np.linalg.svd
-
-    def recorded_svd(a, *args, **kwargs):
-        compute_uv = kwargs.get("compute_uv", args[1] if len(args) > 1 else True)
-        svd_calls.append((np.shape(a), compute_uv))
-        return numpy_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(bipartite, "schmidt_decompose", forbidden)
-    monkeypatch.setattr(tripartite, "schmidt_decompose", forbidden)
-    monkeypatch.setattr(states, "partial_inner_product", forbidden)
-    monkeypatch.setattr(tripartite, "partial_inner_product", forbidden)
-    monkeypatch.setattr(linalg, "svd", forbidden)
-    monkeypatch.setattr(tripartite, "refine_degenerate", recorded)
-    monkeypatch.setattr(tripartite, "analyze", recorded_analysis)
-    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+    (haar_state((16, 16, 16), seed=97), False),
+    (W, False),
+    (w_state((3, 3, 3)), False),
+    (product_state((3, 4, 5)), True),  # one retained slice
+], ids=["tied-6x7x8", "haar-32", "distinct-16", "haar-16", "w-2", "w-3", "product-3x4x5"])
+def test_checked_slicings_read_as_one_batched_svd(state, decomposable):
+    # the eigenbasis slicing and the one check decided on (refined, if it was):
+    # read after the check, slice 0 on its own and the rest in one call give
+    # the bits of one batched call
     verdict = check(state)
-    monkeypatch.undo()
     assert verdict.decomposable is decomposable
-    assert len(analyses) == 1
-    assert len(refined) == int(verdict.degenerate)
-    # the slices get singular values only, and only slice 0 of each analysis
-    # by one 2-D call: an entangled slice 0 rejects the eigenbasis slicing on
-    # its own, and an accepted slicing is proved rank one by its power-step
-    # residuals, so no check makes the batched 3-D call over the other slices
-    analyses += refined
-    values_only = [shape for shape, uv in svd_calls if not uv]
-    assert values_only == [a.slices[0].shape for a in analyses]
-    assert not any(len(shape) == 3 for shape, _ in svd_calls)
-    assert not any("slice_values" in vars(a) or "slice_ranks" in vars(a) for a in analyses)
-    for analysis in analyses:
-        r = analysis.pivot_basis.shape[1]
-        first, second = (state.dims[p] for p in analysis.remaining_parties)
-        assert isinstance(analysis.slices, np.ndarray)
-        assert analysis.slices.shape == (r, first, second)
-        # read after the check, the values are still those of one batched SVD
-        expected = np.linalg.svd(analysis.slices, compute_uv=False)
-        assert np.array_equal(analysis.slice_values, expected)
+    assert verdict.degenerate is (state.dims == (6, 7, 8))  # the one tied pivot
+    for analysis in (analyze(state), verdict.analysis):
+        slices, r = analysis.slices, analysis.pivot_basis.shape[1]
+        assert slices.shape == (r, *(state.dims[p] for p in analysis.remaining_parties))
+        assert np.array_equal(analysis.slice_values, np.linalg.svd(slices, compute_uv=False))
         _assert_leading_factors(analysis)
-    if verdict.decomposable:
+    assert verdict.max_residual == float(np.max(verdict.analysis.slice_values[:, 1:], initial=0.0))
+    if decomposable:
         assert set(verdict.analysis.slice_ranks) == {1}
         assert np.all(verdict.analysis.rank_one_residuals <= 1e-14)
+        assert len(verdict.analysis.slices) > 1 or verdict.max_residual <= 1e-15  # product
+    elif max(state.dims) <= 3:  # W: each slice holds one or two excitations of weight 1/3
+        assert abs(verdict.max_residual - 1 / np.sqrt(3)) <= 1e-15
 
 
 def test_power_step_factors_of_nearly_rank_one_slices():
@@ -573,46 +465,6 @@ def test_rank_one_proof_agrees_with_the_svd_rule(rank_rel, ratio):
         if not proved:
             with pytest.raises(RankNotOne):
                 construct(analysis)
-
-
-def _recorded_svd_shapes(monkeypatch) -> list:
-    calls = []
-    numpy_svd = np.linalg.svd
-
-    def recorded_svd(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return numpy_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded_svd)
-    return calls
-
-
-@pytest.mark.parametrize("state", [haar_state((16, 16, 16), seed=97), W, w_state((3, 3, 3))])
-def test_rejection_decomposes_the_other_slices_only_for_max_residual(state, monkeypatch):
-    calls = _recorded_svd_shapes(monkeypatch)
-    verdict = check(state)
-    analysis = verdict.analysis
-    assert verdict.decomposable is False and not verdict.degenerate
-    assert calls == [analysis.slices[0].shape]
-    assert "slice_values" not in vars(analysis) and "slice_ranks" not in vars(analysis)
-    residual = verdict.max_residual
-    assert calls == [analysis.slices[0].shape, analysis.slices[1:].shape]
-    monkeypatch.undo()
-    # slice 0 on its own and the rest in one call give the bits of one batched call
-    assert np.array_equal(analysis.slice_values, np.linalg.svd(analysis.slices, compute_uv=False))
-    assert residual == float(np.max(analysis.slice_values[:, 1:]))
-    if state.dims[0] <= 3:  # W: each slice holds one or two excitations of weight 1/3
-        assert abs(residual - 1 / np.sqrt(3)) <= 1e-15
-
-
-def test_product_state_check_makes_one_svd_call(monkeypatch):
-    # a single retained slice leaves no stack for the batched call
-    calls = _recorded_svd_shapes(monkeypatch)
-    verdict = check(product_state((3, 4, 5)))
-    assert verdict.decomposable
-    assert verdict.analysis.slice_ranks == (1,)
-    assert verdict.max_residual <= 1e-15
-    assert calls == [(4, 5)]
 
 
 @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 3, 4), (3, 1, 4)])
@@ -845,56 +697,35 @@ def test_forced_degenerate_generator_states_accepted():
 
 
 @pytest.mark.parametrize("d", [16, 24, 32])
-def test_one_simultaneous_diagonalization_refines_many_tied_blocks(d, monkeypatch):
+def test_one_simultaneous_diagonalization_refines_many_tied_blocks(d, lapack_calls):
     # d exactly tied weights in blocks whose sizes cycle 2, 1, 3, in Haar bases:
     # one combination SVD over all d retained slices finds the rotation
-    sizes = []
-    for size in itertools.cycle((2, 1, 3)):
-        if sum(sizes) >= d:
-            break
-        sizes.append(min(size, d - sum(sizes)))
-    calls = []
-    shared_factors = tripartite._shared_factors
-
-    def counted(slices, tol):
-        calls.append(len(slices))
-        return shared_factors(slices, tol)
-
-    monkeypatch.setattr(tripartite, "_shared_factors", counted)
     for seed in (1, 2, 3):
-        levels = np.cumsum(np.random.default_rng(seed).uniform(1.0, 2.0, len(sizes)))[::-1]
-        weights = np.repeat(levels, sizes) / np.sum(np.repeat(levels, sizes))
-        state = schmidt_state((d, d, d), weights, seed=seed)
+        state, weights = tied_blocks_state(d, seed)
         assert max(analyze(state).slice_ranks) > 1
-        calls.clear()
+        lapack_calls.clear()
         verdict = check(state)
-        assert calls == [d]
+        assert [call for call in lapack_calls if call[2] == {"full_matrices": False}] == [
+            ("svd", (d, d), {"full_matrices": False})]
         assert verdict.decomposable and verdict.degenerate
         assert np.max(np.abs(verdict.decomposition.weights - weights)) <= 1e-12
 
 
 def test_verdict_invariant_under_party_permutations():
-    rng = np.random.default_rng(59)
-    ghz = ghz_state((3, 3, 3))
-    for party in range(3):
-        ghz = apply_local_unitary(ghz, party, haar_unitary(3, rng))
-    ab = np.zeros((2, 2, 2), dtype=complex)
-    ab[0, 0, 0] = np.sqrt(0.7)
-    ab[1, 0, 1] = np.sqrt(0.3)
     cases = (
         (schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=91), True),
         # tied weights in Haar bases: the degenerate blocks need refinement
         (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
-        (ghz, True),
+        (haar_rotated(ghz_state((3, 3, 3)), 59), True),
         (W, False),
-        (PureState((2, 2, 2), ab.reshape(-1)), False),
+        (PARALLEL, False),
         (haar_state((2, 3, 4), seed=93), False),
     )
     for state, expect in cases:
         base = check(state)
         assert base.decomposable is expect
         for perm in itertools.permutations(range(3)):
-            verdict = check(_permute_parties(state, perm))
+            verdict = check(permute_parties(state, perm))
             assert verdict.decomposable is expect, perm
             if expect:
                 diff = verdict.decomposition.weights - base.decomposition.weights
