@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, generate
 from .bipartite import entropy_bits, schmidt_decompose
-from .exceptions import Indeterminate, TrischmidtError
+from .exceptions import DimensionMismatch, Indeterminate, TrischmidtError
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, validate
 from .tripartite import PARTY_NAMES, Verdict, check, spectrum_report
@@ -146,12 +146,12 @@ def _verdict(state: PureState, tol: Tolerances, pivot: int | None = None) -> Ver
         return exc.verdict
 
 
-def _pivot_entry(state: PureState, tol: Tolerances, pivot: int) -> dict:
-    if state.dims[pivot] == 1:
-        # a trivial party has a single slice (the whole state); the
-        # per-party rank-one criterion is meaningless there
+def _pivot_entry(state: PureState, tol: Tolerances, verdict: Verdict, pivot: int) -> dict:
+    """``check``'s verdict on ``pivot`` (``verdict`` if it is that pivot's); null where it refuses."""
+    try:
+        verdict = verdict if pivot == verdict.analysis.pivot_party else _verdict(state, tol, pivot)
+    except DimensionMismatch:
         return {"decomposable": None, "max_residual": None, "slice_ranks": None}
-    verdict = _verdict(state, tol, pivot)
     return {
         "decomposable": verdict.decomposable,
         "max_residual": verdict.max_residual,
@@ -193,7 +193,7 @@ def _cmd_check(args) -> int:
     report.update(spectrum_report(state, args.tol))
     if args.all_pivots:
         report["all_pivots"] = {
-            PARTY_NAMES[p]: _pivot_entry(state, args.tol, p) for p in range(3)
+            PARTY_NAMES[p]: _pivot_entry(state, args.tol, verdict, p) for p in range(3)
         }
     sys.stdout.write(_dump_json(report) + "\n")
     if verdict.decomposable is None:

@@ -7,7 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from trischmidt import PureState, ghz_state, haar_state, tripartite, w_state
+from trischmidt import (
+    DimensionMismatch,
+    PureState,
+    check,
+    ghz_state,
+    haar_state,
+    tripartite,
+    w_state,
+)
 from trischmidt.cli import (
     EXIT_DATA,
     EXIT_DECOMPOSABLE,
@@ -304,6 +312,31 @@ def test_check_all_pivots(tmp_path, capsys):
     payload = json.loads(out)
     for party in ("A", "B", "C"):
         assert payload["all_pivots"][party]["decomposable"] is True
+
+
+@pytest.mark.parametrize("dims, refused", [((1, 1, 1), ()), ((1, 3, 4), ("A",))],
+                         ids=["1x1x1", "1x3x4"])
+def test_check_all_pivots_entries_are_checks_verdicts(dims, refused, tmp_path, capsys):
+    # null exactly where check refuses the pivot: dimension 1 beside a larger party
+    state = haar_state(dims, seed=9)
+    path = write_state(tmp_path, "s.json", state)
+    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
+    assert code == EXIT_DECOMPOSABLE
+    entries = json.loads(out)["all_pivots"]
+    for pivot, party in enumerate("ABC"):
+        if party in refused:
+            with pytest.raises(DimensionMismatch, match="has dimension 1"):
+                check(state, pivot=pivot)
+            assert entries[party] == {"decomposable": None, "max_residual": None,
+                                      "slice_ranks": None}
+            continue
+        verdict = check(state, pivot=pivot)
+        assert entries[party] == {"decomposable": verdict.decomposable,
+                                  "max_residual": verdict.max_residual,
+                                  "slice_ranks": list(verdict.analysis.slice_ranks)}
+        if dims == (1, 1, 1):
+            assert entries[party] == {"decomposable": True, "max_residual": 0,
+                                      "slice_ranks": [1]}
 
 
 def test_spectra_command(tmp_path, capsys):

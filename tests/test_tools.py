@@ -1,5 +1,6 @@
 """The scripts under ``tools/`` still run against the package and diff as documented."""
 
+import difflib
 import json
 import subprocess
 import sys
@@ -64,6 +65,17 @@ def test_cli_golden_compare_exits_one_on_a_differing_run(tmp_path):
     other = _tool("cli_golden.py", "--compare", str(paths["a"]), str(paths["other"]))
     assert other.returncode == 1, other.stdout
     assert "check w.json: stdout_sha256 differ; keys ['verdict']; 1 numbers changed" in other.stdout
+
+
+def test_cli_golden_hashes_match_the_committed_byte_contract():
+    # a change that moves report bytes regenerates the file with --hashes and names the moved runs
+    run = _tool("cli_golden.py", "--hashes")
+    assert run.returncode == 0, run.stderr
+    contract = ROOT / "tests" / "golden" / "cli.sha256"
+    diff = difflib.unified_diff(contract.read_text().splitlines(), run.stdout.splitlines(),
+                                "tests/golden/cli.sha256", "cli_golden.py --hashes",
+                                n=0, lineterm="")
+    assert "\n".join(diff) == ""
 
 
 def test_bench_pairs_smoke_appends_a_record(tmp_path):

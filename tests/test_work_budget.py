@@ -4,7 +4,9 @@ Every SVD and eigensolve in ``src/`` runs through ``linalg._lapack`` (the lint
 below holds it so), where the ``lapack_calls`` fixture records it.  A row gives
 an input, its verdict (None: ``Indeterminate``), the exact calls of ``check``
 and those a later read of ``max_residual`` adds: ``eigh``, ``values`` (singular
-values only), ``thin`` or ``full`` (min(m, n) or all singular vectors).
+values only), ``thin`` or ``full`` (min(m, n) or all singular vectors).  The CLI
+rows give the calls of ``check``, ``check --all-pivots`` and ``spectra`` on a
+state file.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 
 from trischmidt import (
     Indeterminate,
+    cli,
     check,
     entanglement_entropy,
     ghz_state,
@@ -107,6 +110,44 @@ def test_spectrum_report_makes_one_values_call_per_unfolding(state, lapack_calls
 def test_entanglement_entropy_makes_one_values_call(lapack_calls):
     entanglement_entropy(np.eye(3, 5) / np.sqrt(3))
     assert _calls(lapack_calls) == "values 3x5"
+
+
+def _verdict_calls(row: str) -> str:
+    """The calls of the library row's ``check`` and of its ``max_residual`` read."""
+    return ", ".join(filter(None, ROWS[row][2:]))
+
+
+# cli.main(["check", F]) makes its verdict's calls, the max_residual read and
+# spectrum_report's unfoldings; --all-pivots reuses that verdict and adds the
+# other two pivots' checks (a refused pivot costs its 1x1 eigensolve)
+CLI_ROWS = {
+    "haar-16": (ROWS["haar-16"][0], _verdict_calls("haar-16"),
+                2 * ["eigh 16x16, values 16x16, values 15x16x16"]),
+    "tied-6x7x8": (ROWS["tied-6x7x8"][0], _verdict_calls("tied-6x7x8"),
+                   ["eigh 7x7, values 6x8, thin 6x8, full 6x6, values 6x8, values 5x6x8",
+                    "eigh 8x8, values 6x7, thin 6x7, full 6x6, values 6x7, values 5x6x7"]),
+    "antisym": (ANTISYM, _verdict_calls("antisym"),
+                2 * ["eigh 3x3, values 3x3, thin 3x3, values 2x3x3, " + _unfoldings((3, 3, 3))]),
+    "unequal-spectra": (UNEQUAL_SPECTRA, _verdict_calls("unequal-spectra"),
+                        2 * ["eigh 3x3, values 2x3, values 2x2x3"]),
+    # pivot A has dimension 1 beside larger parties, so check refuses it
+    "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), "eigh 3x3, values 1x4, values 2x1x4",
+                   ["eigh 1x1", "eigh 4x4, values 1x3, values 2x1x3"]),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "check --all-pivots", "spectra"])
+@pytest.mark.parametrize("state, verdict, other_pivots", CLI_ROWS.values(), ids=CLI_ROWS)
+def test_cli_makes_the_row_calls(state, verdict, other_pivots, command, tmp_path, lapack_calls,
+                                 capsys):
+    path = tmp_path / "state.json"
+    path.write_text(cli._dump_json(cli.state_payload(state)) + "\n")
+    spectra = _unfoldings(state.dims)
+    expected = {"check": [verdict, spectra], "check --all-pivots": [verdict, spectra, *other_pivots],
+                "spectra": [spectra]}[command]
+    cli.main([*command.split(), str(path)])
+    capsys.readouterr()
+    assert _calls(lapack_calls) == ", ".join(expected)
 
 
 RAW = {f"{module}.linalg.{routine}" for module in ("np", "numpy")

@@ -3,11 +3,13 @@
     python3 tools/cli_golden.py --out change.jsonl
     python3 tools/cli_golden.py --src ../parent/src --out parent.jsonl
     python3 tools/cli_golden.py --compare parent.jsonl change.jsonl
+    python3 tools/cli_golden.py --hashes > tests/golden/cli.sha256
 
 The first form writes a fixed set of state files, built with plain numpy
-from fixed seeds, into a temporary directory: 27 three-party states (Haar,
-GHZ, W, product, distinct and tied weights, a 1e-7 weight gap, the
-antisymmetric state, a|000>+b|101>, and three degenerate states that only the
+from fixed seeds, into a temporary directory: 28 three-party states (Haar,
+four of them with a party of dimension 1, 1x1x1 among them; GHZ, W,
+product, distinct and tied weights, a 1e-7 weight gap, the antisymmetric
+state, a|000>+b|101>, and three degenerate states that only the
 fallback rejections decide: an untied slice of rank two, plain and
 Haar-rotated, and unequal single-party spectra), five bad files (not
 normalised, the JSON literal ``NaN``, truncated, an amplitude that is a 401-digit
@@ -17,11 +19,17 @@ Haar up to 2x4096).  It then runs ``check``, ``check --all-pivots`` and
 on the two-party files, plus six valid ``gen`` runs (ghz, w, product,
 schmidt, and haar at 4x4x4 and 12x12x12, seeded where the kind takes a
 seed) that pin the bytes of generated state files, and two ``gen`` runs
-with an empty field in ``--dims`` or ``--weights``.  Each run is its own ``python -m trischmidt`` process
-with one BLAS thread, and writes one JSON record: the command, the exit
-code, the SHA-256 of stdout and of stderr, and stdout itself.
+with an empty field in ``--dims`` or ``--weights``.  All runs share one child
+process per ``--src``, pinned to one BLAS thread and working in the files'
+directory; it calls ``trischmidt.cli.main`` once per run with stdout and
+stderr captured as bytes.  Each run writes one JSON record: the command, the
+exit code, the SHA-256 of stdout and of stderr, and stdout itself.
 ``--src`` picks the trischmidt sources to run, so two versions of the
 program can be compared on the same files.
+
+``--hashes`` prints one line per run instead: the exit code, the SHA-256 of
+stdout and of stderr, and the command.  ``tests/golden/cli.sha256`` holds
+these lines, and a tier-1 test compares them with a fresh run.
 
 ``--compare A B`` prints every run whose exit code, stdout or stderr
 differs; for a JSON stdout it names the top-level keys whose numbers or
@@ -33,11 +41,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +126,7 @@ def _antisymmetric() -> np.ndarray:
 
 def three_party_states() -> dict[str, np.ndarray]:
     haar = [(2, 2, 2), (2, 3, 4), (5, 2, 2), (1, 3, 4), (3, 1, 4), (7, 2, 3), (3, 5, 5),
-            (16, 16, 16), (1, 1, 5), (4, 4, 4)]
+            (16, 16, 16), (1, 1, 5), (4, 4, 4), (1, 1, 1)]
     states = {f"haar-{'x'.join(map(str, d))}": _haar(d, 100 + i) for i, d in enumerate(haar)}
     states["ghz-3x3x3"] = _ghz(3)
     states["w-2x2x2"] = _w(2)
@@ -174,29 +185,54 @@ def write_inputs(directory: Path) -> tuple[list[str], list[str]]:
     return three, two
 
 
-def _run(src: Path, directory: Path, args: tuple[str, ...]) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "trischmidt", *args], cwd=directory,
-                          env=env, capture_output=True)
-    return dict(run=" ".join(args), exit=proc.returncode,
-                stdout_sha256=hashlib.sha256(proc.stdout).hexdigest(),
-                stderr_sha256=hashlib.sha256(proc.stderr).hexdigest(),
-                stdout=proc.stdout.decode("utf-8", errors="replace"))
+def run_all() -> None:
+    """Child: run each argument list read as JSON from stdin through ``cli.main``.
+
+    stdout and stderr are swapped for byte buffers that encode as the child's
+    own pipes do; each run's record goes to the real stdout as one JSON line.
+    """
+    from trischmidt import cli
+
+    streams = sys.stdout, sys.stderr
+    for args in json.load(sys.stdin):
+        captured = [io.TextIOWrapper(io.BytesIO(), encoding=stream.encoding, errors=stream.errors)
+                    for stream in streams]
+        sys.stdout, sys.stderr = captured
+        try:
+            with warnings.catch_warnings():  # a warning prints once per run, as in its own process
+                code = cli.main(args)
+        except Exception:
+            traceback.print_exc()
+            code = 1
+        finally:
+            sys.stdout, sys.stderr = streams
+        out, err = (wrapper.detach().getvalue() for wrapper in captured)  # detach flushes
+        print(json.dumps(dict(run=" ".join(args), exit=code,
+                              stdout_sha256=hashlib.sha256(out).hexdigest(),
+                              stderr_sha256=hashlib.sha256(err).hexdigest(),
+                              stdout=out.decode("utf-8", errors="replace"))))
 
 
-def golden(src: Path, out) -> int:
-    count = 0
+def golden(src: Path) -> list[dict]:
+    """The record of every run, made in one child process on ``src`` with one BLAS thread."""
     with tempfile.TemporaryDirectory(prefix="cli-golden-") as tmp:
         directory = Path(tmp)
         three, two = write_inputs(directory)
         runs = [(*cmd, name) for name in three for cmd in THREE_PARTY_COMMANDS]
         runs += [("decompose-bipartite", name) for name in two]
         runs += GEN_RUNS
-        for args in runs:
-            out.write(json.dumps(_run(src, directory, args)) + "\n")
-            count += 1
-    return count
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        child = subprocess.run([sys.executable, "-c", "import cli_golden; cli_golden.run_all()"],
+                               input=json.dumps(runs), cwd=directory, env=env,
+                               capture_output=True, text=True)
+    if child.returncode or child.stderr:
+        raise RuntimeError(f"cli_golden child exited with {child.returncode}:\n{child.stderr}")
+    return [json.loads(line) for line in child.stdout.splitlines()]
+
+
+def hash_line(record: dict) -> str:
+    return f"{record['exit']} {record['stdout_sha256']} {record['stderr_sha256']} {record['run']}"
 
 
 def _load(path) -> dict:
@@ -263,17 +299,21 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the trischmidt package (default: src/)")
     parser.add_argument("--out", help="golden file (default: stdout)")
+    parser.add_argument("--hashes", action="store_true",
+                        help="write one line per run: exit code, stdout and stderr SHA-256, command")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not (args.src / "trischmidt" / "__init__.py").is_file():
         parser.error(f"no trischmidt sources in {args.src}")
+    records = golden(args.src.resolve())
+    lines = map(hash_line, records) if args.hashes else map(json.dumps, records)
+    text = "".join(line + "\n" for line in lines)
     if args.out is None:
-        count = golden(args.src.resolve(), sys.stdout)
+        sys.stdout.write(text)
     else:
-        with open(args.out, "w") as out:
-            count = golden(args.src.resolve(), out)
-    print(f"{count} runs", file=sys.stderr)
+        Path(args.out).write_text(text)
+    print(f"{len(records)} runs", file=sys.stderr)
     return 0
 
 
