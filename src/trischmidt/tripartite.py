@@ -80,9 +80,11 @@ class SliceAnalysis:
     has rank one.  The same power steps give ``rank_one_residuals[i]``, slice
     i's ``||X - (Xv) v^H||_F / ||Xv||``, an upper bound on its
     ``sigma_2 / sigma_1``, and ``squared_norms[i]``, its ``||X||_F^2``.
-    ``all_rank_one`` is the one rank test of the slicing.  All of these are
-    computed on first read, the factors, residuals and norms by one pass.
-    ``tol`` holds the tolerances the analysis was made with, and every later
+    ``all_rank_one`` is the one rank test of the slicing; ``valid`` adds orthonormal
+    factor families, which make the slicing a decomposition.  ``groups`` are the
+    ``degeneracy_groups`` of the retained pivot spectrum, ``degenerate`` whether one
+    ties.  All are computed on first read, the factors, residuals and norms by one
+    pass.  ``tol`` holds the tolerances the analysis was made with, and every later
     test of it reads them.
     """
 
@@ -121,10 +123,15 @@ class SliceAnalysis:
             return True
         return all(rank == 1 for rank in self.slice_ranks)
 
-    @property
-    def remaining_parties(self) -> tuple[int, int]:
-        a, b = (i for i in range(3) if i != self.pivot_party)
-        return a, b
+    @cached_property
+    def valid(self) -> bool:
+        return self.all_rank_one and _families_orthonormal(self.left_factors, self.right_factors, self.tol)
+
+    @cached_property
+    def groups(self) -> list[list[int]]:
+        return degeneracy_groups(self.pivot_spectrum[: len(self.slices)], self.tol)
+
+    degenerate = property(lambda self: any(len(g) > 1 for g in self.groups))
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +162,8 @@ class Verdict:
     ``max_residual`` is the largest second Schmidt coefficient across the
     slices of the analysis the verdict was based on: zero-ish for clean
     acceptances, and a graded distance-to-criterion for rejections.  It reads
-    ``analysis.slice_values``, so only a caller that reads it pays for them.
+    ``analysis.slice_values``, so only a caller that reads it pays for them;
+    ``degenerate`` reads ``analysis.degenerate`` the same way.
     ``decomposable`` is None only in the verdict an :class:`Indeterminate`
     carries: the rejection that could not be made sound.
     """
@@ -163,7 +171,7 @@ class Verdict:
     decomposable: bool | None
     decomposition: TripartiteSchmidt | None
     analysis: SliceAnalysis
-    degenerate: bool
+    degenerate = property(lambda self: self.analysis.degenerate)
     max_residual = property(lambda self: float(np.max(self.analysis.slice_values[:, 1:], initial=0.0)))
 
 
@@ -229,12 +237,15 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
 
     ``pivot`` defaults to the smallest party of dimension >= 2 (ties go
     to A before B before C); passing it explicitly supports the
-    all-pivots mode for equal dimensions.
+    all-pivots mode for equal dimensions.  A pivot of dimension 1 beside a
+    larger party raises :class:`DimensionMismatch` before any decomposition.
     """
     validate(state, tol)
     if state.n_parties != 3:
         raise DimensionMismatch("analysis is defined for tripartite states")
     pivot = _pivot_party(state.dims) if pivot is None else _check_party(state, pivot)
+    if state.dims[pivot] == 1 < max(state.dims):
+        raise DimensionMismatch(f"pivot {PARTY_NAMES[pivot]} has dimension 1")
     m = _unfold(state.tensor, (pivot,))
     # rho is exactly Hermitian by construction, so it is not checked again
     spectrum, basis = linalg._eigh_canonical(_gram(m), tol, retained=True)
@@ -244,7 +255,7 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
 
 
 def _shared_factors(slices, tol: Tolerances):
-    """Orthonormal factor bases that diagonalize every slice at once, or None.
+    """The slices' diagonals in shared orthonormal factor bases that diagonalize them all, or None.
 
     When ``X_i = y diag(d_i) z^H`` for shared orthonormal ``y`` and ``z``, a
     generic combination ``sum_i c_i X_i`` has that form with distinct
@@ -252,7 +263,7 @@ def _shared_factors(slices, tol: Tolerances):
     simultaneous diagonalization; Leurgans, Ross & Abel, SIAM J. Matrix
     Anal. Appl. 14, 1993).  Its ``k`` nonzero modes are accepted when every
     ``y^H X_i z`` is diagonal within ``1e3 * recon_abs`` and the diagonals
-    hold all the slices' mass.  ``diag[i]`` is the diagonal of slice i.
+    hold all the slices' mass.  Row i of the result is the diagonal of slice i.
     """
     stack = np.asarray(slices)
     mixed = np.tensordot(_mix(len(stack)), stack, axes=1)
@@ -267,7 +278,7 @@ def _shared_factors(slices, tol: Tolerances):
     mass = float(np.sum(np.abs(diag) ** 2)) - float(np.sum(np.abs(stack) ** 2))
     if abs(mass) > math.sqrt(tol.recon_abs):  # mass escaped the retained modes
         return None
-    return y, z, diag
+    return diag
 
 
 @lru_cache(maxsize=64)
@@ -281,10 +292,8 @@ def _mix(n: int) -> np.ndarray:
 
 def _shared_basis_spectrum(slices, tol: Tolerances) -> np.ndarray | None:
     """Per-mode sums of slice Schmidt weights, when one slice basis fits all; tracer-only."""
-    shared = _shared_factors(slices, tol)
-    if shared is None:
-        return None
-    return np.sort(np.sum(np.abs(shared[2]) ** 2, axis=0))[::-1]
+    diag = _shared_factors(slices, tol)
+    return None if diag is None else np.sort(np.sum(np.abs(diag) ** 2, axis=0))[::-1]
 
 
 def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) -> bool:
@@ -299,12 +308,6 @@ def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) 
         f.shape[0] == 1 or float(np.max(np.abs(f.conj().T @ f - eye))) <= math.sqrt(tol.recon_abs)
         for f in (left, right)
     )
-
-
-def _configuration_valid(analysis: SliceAnalysis) -> bool:
-    if not analysis.all_rank_one:
-        return False
-    return _families_orthonormal(analysis.left_factors, analysis.right_factors, analysis.tol)
 
 
 def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
@@ -324,10 +327,10 @@ def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
     if analysis.all_rank_one:
         return analysis
     slices = analysis.slices
-    shared = _shared_factors(slices, analysis.tol)
-    if shared is None or shared[2].shape[1] != len(slices):
+    diag = _shared_factors(slices, analysis.tol)
+    if diag is None or diag.shape[1] != len(slices):
         return None
-    u, _, vh = linalg._lapack(np.linalg.svd, shared[2].conj().T)
+    u, _, vh = linalg._lapack(np.linalg.svd, diag.conj().T)
     coeff = u @ vh  # closest unitary: keeps the new slicing an exact rotation
     return replace(
         analysis,
@@ -348,18 +351,11 @@ def construct(analysis: SliceAnalysis) -> TripartiteSchmidt:
     """
     if not analysis.all_rank_one:
         raise RankNotOne(f"slice ranks {analysis.slice_ranks} are not all one")
-    weights = analysis.squared_norms
-    first, second = analysis.remaining_parties
-    blocks = {
-        analysis.pivot_party: analysis.pivot_basis,
-        first: analysis.left_factors,
-        second: analysis.right_factors,
-    }
-    order = np.argsort(-weights, kind="stable")
-    weights = weights[order]
-    basis_a = np.ascontiguousarray(blocks[0][:, order])
-    basis_b = np.ascontiguousarray(blocks[1][:, order])
-    basis_c = np.ascontiguousarray(blocks[2][:, order])
+    order = np.argsort(-analysis.squared_norms, kind="stable")
+    weights = analysis.squared_norms[order]
+    blocks = [analysis.left_factors, analysis.right_factors]
+    blocks.insert(analysis.pivot_party, analysis.pivot_basis)
+    basis_a, basis_b, basis_c = (np.ascontiguousarray(block[:, order]) for block in blocks)
     for basis in (basis_a, basis_b):
         ph = linalg._column_phases(basis)
         basis *= ph
@@ -396,28 +392,24 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
     the degenerate case a rejection needs either a forced rank defect
     outside the degenerate blocks, an in-block contradiction, or
     clearly unequal single-party spectra.  Anything else raises
-    :class:`Indeterminate`.  A pivot ``_pivot_party`` never picks (dimension
-    1 beside a larger party) raises :class:`DimensionMismatch`.
+    :class:`Indeterminate`.  ``analyze`` refuses a pivot of dimension 1 beside
+    a larger party with :class:`DimensionMismatch` before any decomposition.
     """
     analysis = analyze(state, tol, pivot=pivot)
-    if state.dims[analysis.pivot_party] == 1 < max(state.dims):
-        raise DimensionMismatch(f"pivot {PARTY_NAMES[analysis.pivot_party]} has dimension 1")
-    groups = degeneracy_groups(analysis.pivot_spectrum[: len(analysis.slices)], tol)
-    degenerate = any(len(g) > 1 for g in groups)
-    if _configuration_valid(analysis):
-        return Verdict(True, construct(analysis), analysis, degenerate)
-    if not degenerate:
-        return Verdict(False, None, analysis, False)
+    if analysis.valid:
+        return Verdict(True, construct(analysis), analysis)
+    if not analysis.degenerate:
+        return Verdict(False, None, analysis)
     refined = refine_degenerate(analysis)
-    if refined is not None and _configuration_valid(refined):
-        return Verdict(True, construct(refined), refined, True)
+    if refined is not None and refined.valid:
+        return Verdict(True, construct(refined), refined)
 
     # Degenerate pivot spectrum and no valid slicing found: reject only on
     # sound grounds, read from the eigenbasis slicing, otherwise refuse to guess.
-    rejection = Verdict(False, None, analysis, True)
-    if any(len(g) == 1 and analysis.slice_ranks[g[0]] != 1 for g in groups):
+    rejection = Verdict(False, None, analysis)
+    if any(len(g) == 1 and analysis.slice_ranks[g[0]] != 1 for g in analysis.groups):
         return rejection
-    for group in groups:
+    for group in analysis.groups:
         if len(group) < 2 or any(analysis.slice_ranks[i] != 1 for i in group):
             continue
         # All-rank-one block whose members are not factor-orthogonal: the

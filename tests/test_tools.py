@@ -6,8 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
+sys.path.insert(0, str(TOOLS))
+
+from verdict_digest import hash_line  # noqa: E402
 
 
 def _tool(name, *args):
@@ -15,11 +20,18 @@ def _tool(name, *args):
                           capture_output=True, text=True, timeout=120)
 
 
-def test_verdict_digest_writes_and_self_compares(tmp_path):
-    digest = tmp_path / "digest.jsonl"
+@pytest.fixture(scope="module")
+def seed_1_digest(tmp_path_factory):
+    """One verdict digest of seed 1, shared by the tests that read it."""
+    digest = tmp_path_factory.mktemp("verdict-digest") / "digest.jsonl"
     run = _tool("verdict_digest.py", "--seeds", "1", "--out", str(digest))
     assert run.returncode == 0, run.stderr
     assert run.stderr == "656 records\n"
+    return digest
+
+
+def test_verdict_digest_writes_and_self_compares(seed_1_digest, tmp_path):
+    digest = seed_1_digest
     records = [json.loads(line) for line in digest.read_text().splitlines()]
     assert len(records) == 656
     # an Indeterminate is digested from the verdict it carries
@@ -50,13 +62,26 @@ def test_verdict_digest_writes_and_self_compares(tmp_path):
     assert f"closer in 0, farther in 1 of {len(accepted)} accepted checks" in diff.stdout
 
 
+def test_verdict_digest_hashes_match_the_committed_verdict_contract(seed_1_digest):
+    # a change that moves a verdict, a flag, a number or a digested array regenerates the
+    # file with --seeds 1 --hashes and names the moved records
+    lines = [hash_line(line) for line in seed_1_digest.read_text().splitlines()]
+    contract = ROOT / "tests" / "golden" / "verdicts.sha256"
+    diff = difflib.unified_diff(contract.read_text().splitlines(), lines,
+                                "tests/golden/verdicts.sha256", "verdict_digest.py --seeds 1 --hashes",
+                                n=0, lineterm="")
+    assert "\n".join(diff) == ""
+
+
 def test_cli_golden_compare_exits_one_on_a_differing_run(tmp_path):
     record = dict(run="check w.json", exit=1, stdout_sha256="a", stderr_sha256="e",
                   stdout='{"verdict": {"max_residual": 0.5}}')
     paths = {}
     for name, changes in (("a", {}), ("same", {}),
                           ("other", dict(stdout_sha256="b",
-                                         stdout='{"verdict": {"max_residual": 0.25}}'))):
+                                         stdout='{"verdict": {"max_residual": 0.25}}')),
+                          ("null", dict(stdout_sha256="n",
+                                        stdout='{"verdict": {"max_residual": null}}'))):
         paths[name] = tmp_path / f"{name}.jsonl"
         paths[name].write_text(json.dumps({**record, **changes}) + "\n")
     same = _tool("cli_golden.py", "--compare", str(paths["a"]), str(paths["same"]))
@@ -65,6 +90,11 @@ def test_cli_golden_compare_exits_one_on_a_differing_run(tmp_path):
     other = _tool("cli_golden.py", "--compare", str(paths["a"]), str(paths["other"]))
     assert other.returncode == 1, other.stdout
     assert "check w.json: stdout_sha256 differ; keys ['verdict']; 1 numbers changed" in other.stdout
+    # a leaf that moves between null and a number is a changed leaf, though not a changed number
+    null = _tool("cli_golden.py", "--compare", str(paths["null"]), str(paths["a"]))
+    assert null.returncode == 1, null.stdout
+    assert ("check w.json: stdout_sha256 differ; keys ['verdict']; 0 numbers changed, "
+            "max |deviation| 0; 1 leaves changed") in null.stdout
 
 
 def test_cli_golden_hashes_match_the_committed_byte_contract():

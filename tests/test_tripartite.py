@@ -260,7 +260,7 @@ def test_refine_handles_mixed_bell_slices():
     assert refine_degenerate(analyze(ANTISYM)) is None
     # shared bases with more modes than slices admit no rank-one slicing
     wide = [np.diag([1.0, 1.0, 0.0]) / 2, np.diag([0.0, 0.0, np.sqrt(2)]) / 2]
-    assert tripartite._shared_factors(wide, Tolerances())[2].shape[1] > len(wide)
+    assert tripartite._shared_factors(wide, Tolerances()).shape[1] > len(wide)
 
 
 def test_reconstruct_from_explicit_decomposition():
@@ -404,7 +404,8 @@ def test_checked_slicings_read_as_one_batched_svd(state, decomposable):
     assert verdict.degenerate is (state.dims == (6, 7, 8))  # the one tied pivot
     for analysis in (analyze(state), verdict.analysis):
         slices, r = analysis.slices, analysis.pivot_basis.shape[1]
-        assert slices.shape == (r, *(state.dims[p] for p in analysis.remaining_parties))
+        remaining = [d for p, d in enumerate(state.dims) if p != analysis.pivot_party]
+        assert slices.shape == (r, *remaining)
         assert np.array_equal(analysis.slice_values, np.linalg.svd(slices, compute_uv=False))
         _assert_leading_factors(analysis)
     assert verdict.max_residual == float(np.max(verdict.analysis.slice_values[:, 1:], initial=0.0))
@@ -469,9 +470,13 @@ def test_rank_one_proof_agrees_with_the_svd_rule(rank_rel, ratio):
 
 @pytest.mark.parametrize("dims", [(3, 4, 5), (1, 3, 4), (3, 1, 4)])
 def test_analyze_slices_are_the_partial_inner_products(dims):
-    # reference: one partial_inner_product per pivot basis vector
+    # reference: one partial_inner_product per pivot basis vector; a trivial pivot is refused
     state = haar_state(dims, seed=96)
     for pivot in range(3):
+        if dims[pivot] == 1:
+            with pytest.raises(DimensionMismatch, match=f"pivot {'ABC'[pivot]} has dimension 1"):
+                analyze(state, pivot=pivot)
+            continue
         analysis = analyze(state, pivot=pivot)
         basis = analysis.pivot_basis
         expected = np.array([partial_inner_product(state, pivot, basis[:, i])
@@ -573,8 +578,13 @@ def test_mixing_coefficients_are_drawn_once_per_slice_count():
     haar_state((1, 3, 4), seed=104),
 ], ids=["ghz-3x3x3", "w-3x3x3", "product-3x4x5", "haar-3x4x5", "haar-1x3x4"])
 def test_analyze_eigenbasis_is_the_checked_eigendecomposition_bit_for_bit(state):
-    # analyze skips the Hermitian checks and canonicalizes only the kept columns
+    # analyze skips the Hermitian checks and canonicalizes only the kept columns;
+    # it refuses a trivial pivot
     for pivot in range(3):
+        if state.dims[pivot] == 1:
+            with pytest.raises(DimensionMismatch, match=f"pivot {'ABC'[pivot]} has dimension 1"):
+                analyze(state, pivot=pivot)
+            continue
         analysis = analyze(state, pivot=pivot)
         w, v = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)))
         r = analysis.pivot_basis.shape[1]

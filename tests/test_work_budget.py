@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 from trischmidt import (
+    DimensionMismatch,
     Indeterminate,
+    analyze,
     cli,
     check,
     entanglement_entropy,
@@ -119,7 +121,7 @@ def _verdict_calls(row: str) -> str:
 
 # cli.main(["check", F]) makes its verdict's calls, the max_residual read and
 # spectrum_report's unfoldings; --all-pivots reuses that verdict and adds the
-# other two pivots' checks (a refused pivot costs its 1x1 eigensolve)
+# other two pivots' checks (a refused pivot costs nothing)
 CLI_ROWS = {
     "haar-16": (ROWS["haar-16"][0], _verdict_calls("haar-16"),
                 2 * ["eigh 16x16, values 16x16, values 15x16x16"]),
@@ -132,7 +134,9 @@ CLI_ROWS = {
                         2 * ["eigh 3x3, values 2x3, values 2x2x3"]),
     # pivot A has dimension 1 beside larger parties, so check refuses it
     "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), "eigh 3x3, values 1x4, values 2x1x4",
-                   ["eigh 1x1", "eigh 4x4, values 1x3, values 2x1x3"]),
+                   ["eigh 4x4, values 1x3, values 2x1x3"]),
+    # one retained slice, and both other pivots refused
+    "haar-1x1x5": (haar_state((1, 1, 5), seed=3401), "eigh 5x5, values 1x1", []),
 }
 
 
@@ -148,6 +152,13 @@ def test_cli_makes_the_row_calls(state, verdict, other_pivots, command, tmp_path
     cli.main([*command.split(), str(path)])
     capsys.readouterr()
     assert _calls(lapack_calls) == ", ".join(expected)
+
+
+@pytest.mark.parametrize("answer", [analyze, check], ids=["analyze", "check"])
+def test_a_trivial_pivot_is_refused_before_any_decomposition(answer, lapack_calls):
+    with pytest.raises(DimensionMismatch, match="pivot A has dimension 1"):
+        answer(CLI_ROWS["haar-1x3x4"][0], pivot=0)
+    assert lapack_calls == []
 
 
 RAW = {f"{module}.linalg.{routine}" for module in ("np", "numpy")

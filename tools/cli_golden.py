@@ -34,7 +34,9 @@ these lines, and a tier-1 test compares them with a fresh run.
 ``--compare A B`` prints every run whose exit code, stdout or stderr
 differs; for a JSON stdout it names the top-level keys whose numbers or
 values changed, how many numbers changed and the largest absolute
-deviation.  It exits with 1 when some run differs.
+deviation, and how many leaves changed in all: a number, null, boolean or
+string that differs, and a leaf on one side only (null against a list
+counts both sides' leaves).  It exits with 1 when some run differs.
 """
 
 from __future__ import annotations
@@ -253,22 +255,23 @@ def _leaves(obj, path=()):
 
 
 def _json_diff(a: str, b: str) -> str:
-    """Changed top-level keys, changed numbers and their largest deviation, or ''."""
+    """Changed top-level keys, changed numbers and their largest deviation, and changed leaves, or ''."""
     try:
         la, lb = dict(_leaves(json.loads(a))), dict(_leaves(json.loads(b)))
     except json.JSONDecodeError:
         return ""
-    keys, changed, deviation = set(), 0, 0.0
+    keys, leaves, numbers, deviation = set(), 0, 0, 0.0
     for path in la.keys() | lb.keys():
         x, y = la.get(path), lb.get(path)
-        if x == y and type(x) is type(y):
+        if path in la and path in lb and x == y and type(x) is type(y):
             continue
         keys.add(str(path[0]) if path else "")
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))
-        if numbers:
-            changed += 1
+        leaves += 1
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y)):
+            numbers += 1
             deviation = max(deviation, abs(x - y))
-    return f"keys {sorted(keys)}; {changed} numbers changed, max |deviation| {deviation:.3g}"
+    return (f"keys {sorted(keys)}; {numbers} numbers changed, max |deviation| {deviation:.3g}; "
+            f"{leaves} leaves changed")
 
 
 def compare(path_a, path_b) -> int:

@@ -3,6 +3,7 @@
     python3 tools/verdict_digest.py --out change.jsonl
     python3 tools/verdict_digest.py --src ../parent/src --out parent.jsonl
     python3 tools/verdict_digest.py --compare parent.jsonl change.jsonl
+    python3 tools/verdict_digest.py --seeds 1 --hashes > tests/golden/verdicts.sha256
 
 The first form runs ``tripartite.check`` on every input of ``decide-generic``
 and ``decide-degenerate`` (built by ``bench/cases.py``, which is only
@@ -18,6 +19,10 @@ keeps the eigenbasis and the factor bases bit for bit.  Seeds 1-8 give
 5248 records.  ``--src`` picks the trischmidt sources to digest, so two
 versions of the program can be compared on the same inputs.  One BLAS
 thread is pinned, as in the benchmark, because the last bits depend on it.
+``--hashes`` writes one line per record instead: its workload, seed,
+input, label and pivot, and the SHA-256 of its JSON line.
+``tests/golden/verdicts.sha256`` holds these lines for seed 1, and a tier-1
+test compares them with a fresh digest.
 An ``Indeterminate`` is read through the verdict it carries; versions before
 ``Indeterminate.verdict`` carried ``analysis`` and ``max_residual`` instead,
 so digest such a version with its own copy of this tool, not with ``--src``.
@@ -94,7 +99,14 @@ def _record(tripartite, errors, case, state, pivot) -> dict:
                 **_hashes(verdict.analysis))
 
 
-def digest(src: Path, seeds, out) -> int:
+def hash_line(line: str) -> str:
+    """The ``--hashes`` line of one record's JSON line."""
+    r = json.loads(line)
+    key = " ".join(str(r[f]) for f in ("workload", "seed", "input", "label", "pivot"))
+    return f"{key} {hashlib.sha256(line.encode()).hexdigest()}"
+
+
+def digest(src: Path, seeds, out, hashes=False) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(src), str(ROOT / "bench")]
@@ -109,7 +121,8 @@ def digest(src: Path, seeds, out) -> int:
                 for pivot in PIVOTS:
                     record = dict(workload=workload, seed=seed, input=index, label=case.label,
                                   pivot=pivot, **_record(tripartite, errors, case, state, pivot))
-                    out.write(json.dumps(record) + "\n")
+                    line = json.dumps(record)
+                    out.write((hash_line(line) if hashes else line) + "\n")
                     count += 1
     return count
 
@@ -171,16 +184,18 @@ def main(argv=None) -> int:
                         help="directory holding the trischmidt package (default: src/)")
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 9)))
     parser.add_argument("--out", help="digest file (default: stdout)")
+    parser.add_argument("--hashes", action="store_true",
+                        help="write one line per record: workload, seed, input, label, pivot, SHA-256")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
     if not (args.src / "trischmidt" / "__init__.py").is_file():
         parser.error(f"no trischmidt sources in {args.src}")
     if args.out is None:
-        count = digest(args.src.resolve(), args.seeds, sys.stdout)
+        count = digest(args.src.resolve(), args.seeds, sys.stdout, args.hashes)
     else:
         with open(args.out, "w") as out:
-            count = digest(args.src.resolve(), args.seeds, out)
+            count = digest(args.src.resolve(), args.seeds, out, args.hashes)
     print(f"{count} records", file=sys.stderr)
     return 0
 
