@@ -19,7 +19,7 @@ Every report echoes the three tolerances; only ``check`` takes --tol-degen.
 
 Exit codes: 0 decomposable / success, 1 not decomposable, 2 indeterminate
 (degenerate refinement failed), 64 usage error (also a tolerance outside
-(0, 1)), 65 data error.
+(0, 1) or a negative seed), 65 data error.
 """
 
 from __future__ import annotations
@@ -231,6 +231,12 @@ def _comma_list(convert, message: str, text: str) -> list:
         raise argparse.ArgumentTypeError(f"{message}: {exc}")
 
 
+def _seed(text: str) -> int:
+    if int(text) < 0:  # numpy's generator takes no negative seed
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
+    return int(text)
+
+
 class _SetTolerance(argparse.Action):
     """Set one field of ``args.tol``; a value ``Tolerances`` refuses is a usage error."""
 
@@ -268,8 +274,8 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--weights", default=None, metavar="W1,W2,..",
                        type=partial(_comma_list, float, "weights must be comma-separated numbers"),
                        help="positive weights for kind 'schmidt' (normalized to sum 1)")
-    p_gen.add_argument("--seed", type=int, default=None, metavar="N",
-                       help="seed for the numpy-pcg64 generator (haar/schmidt)")
+    p_gen.add_argument("--seed", type=_seed, default=None, metavar="N",
+                       help="nonnegative seed for the numpy-pcg64 generator (haar/schmidt)")
     p_gen.add_argument("-o", "--output", default=None, metavar="FILE",
                        help="write the state file here instead of stdout")
 

@@ -64,23 +64,10 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def _column_phases(v: np.ndarray) -> np.ndarray:
-    """Per-column factors that make each column's largest-magnitude entry real positive.
-
-    Bit for bit Python's ``abs(a) / a`` on that entry: ``hypot``, then CPython's
-    Smith division by the larger of ``a.real`` and ``a.imag``, signed zeros included.
-    """
+    """Per column, ``abs(a) / a`` of its largest-magnitude entry ``a`` (lowest index among
+    equals), which makes that entry real positive; 1 for a zero column."""
     a = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    a[a == 0] = 1.0  # a zero column gets 1
-    by_real = np.abs(a.real) >= np.abs(a.imag)
-    p = np.where(by_real, a.real, a.imag)
-    q = np.where(by_real, a.imag, a.real)
-    ratio = q / p
-    denom = p + q * ratio
-    r = np.hypot(a.real, a.imag)
-    ph = np.empty_like(a)
-    ph.real = np.where(by_real, r, r * ratio + 0.0) / denom
-    ph.imag = np.where(by_real, 0.0 - r * ratio, -r) / denom
-    return ph
+    return np.array([abs(x) / x if x else 1.0 for x in a.tolist()], dtype=np.complex128)
 
 
 def _order_ties(values: np.ndarray, column_blocks: list[np.ndarray]) -> None:

@@ -125,6 +125,19 @@ def test_gen_requires_seed_for_random_kinds(capsys):
     assert "--weights" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["haar", "--dims", "2,2,2", "--seed", "-1"],
+    ["schmidt", "--dims", "2,2,2", "--weights", "0.5,0.5", "--seed", "-5"],
+])
+def test_gen_negative_seed_is_usage_error(argv, capsys):
+    # numpy's generator refuses a negative seed; the parser refuses it first and names the option
+    code, out, err = run_cli(["gen", *argv], capsys)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.endswith(f"error: argument --seed: must be a nonnegative integer, got {argv[-1]}\n")
+    assert run_cli(["gen", *argv[:-1], "0"], capsys)[0] == EXIT_DECOMPOSABLE
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ghz", "--dims", "2,,2"], "dims must be comma-separated integers"),
     (["ghz", "--dims", "2,2,"], "dims must be comma-separated integers"),
