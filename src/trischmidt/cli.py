@@ -19,7 +19,7 @@ Every report echoes the three tolerances; only ``check`` takes --tol-degen.
 
 Exit codes: 0 decomposable / success, 1 not decomposable, 2 indeterminate
 (degenerate refinement failed), 64 usage error (also a tolerance outside
-(0, 1) or a negative seed), 65 data error.
+(0, 1), a negative seed or a value the generator refuses), 65 data error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__, generate
 from .bipartite import entropy_bits, schmidt_decompose
-from .exceptions import DimensionMismatch, Indeterminate, TrischmidtError
+from .exceptions import BadDims, BadWeights, DimensionMismatch, Indeterminate, TrischmidtError
 from .linalg import DEFAULT_TOL, Tolerances
 from .states import PureState, validate
 from .tripartite import PARTY_NAMES, Verdict, check, spectrum_report
@@ -51,9 +51,12 @@ _GEN_KINDS = {"ghz": (), "w": (), "product": (), "schmidt": ("seed", "weights"),
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad usage, which collides with the
-    # indeterminate verdict; remap to the documented usage code.
+    # argparse exits with 2 on bad usage, which collides with the indeterminate
+    # verdict: remap to the usage code, and name the form a value like -1,2 needs.
     def error(self, message):
+        if message.endswith(": expected one argument"):
+            option = message.split(":")[0].split("/")[-1].removeprefix("argument ")
+            message += f" (write {option}=VALUE for a value that begins with '-')"
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -169,7 +172,12 @@ def _cmd_gen(args) -> int:
             print(f"trischmidt gen: error: --{option} {rule} kind '{kind}'", file=sys.stderr)
             return EXIT_USAGE
     options = {option: getattr(args, option) for option in _GEN_KINDS[kind]}
-    state = getattr(generate, f"{kind}_state")(dims, **options)
+    try:
+        state = getattr(generate, f"{kind}_state")(dims, **options)
+    except (BadDims, BadWeights) as exc:  # an option's value, not a state file, is at fault
+        option = "--dims" if isinstance(exc, BadDims) else "--weights"
+        print(f"trischmidt gen: error: argument {option}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     text = _dump_json(state_payload(state)) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as handle:

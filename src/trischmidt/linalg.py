@@ -158,6 +158,11 @@ def numerical_rank(values, tol: Tolerances = DEFAULT_TOL) -> int | tuple[int, ..
     with one count per row.
     """
     vals = np.asarray(values, dtype=float)
-    ranks = np.count_nonzero(vals > tol.rank_rel * vals[..., :1], axis=-1)
-    return tuple(ranks.tolist()) if vals.ndim > 1 else int(ranks)
+    above = vals > tol.rank_rel * vals[..., :1]  # 1-D: numpy's C count, with no axis to wrap
+    return tuple(above.sum(axis=-1).tolist()) if vals.ndim > 1 else int(np.count_nonzero(above))
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis, keepdims=True)`` bit for bit, by its own expression."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis, keepdims=True))
 

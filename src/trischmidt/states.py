@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatch, NotNormalized
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _norms
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,7 @@ def partial_inner_product(
 
 def _check_unit_columns(vectors: np.ndarray, tol: Tolerances) -> None:
     """Raise NotNormalized unless each column of ``vectors`` has norm 1 within ``recon_abs``."""
-    deviation = float(np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)))
+    deviation = float(np.abs(_norms(vectors, 0) - 1.0).max())
     if not deviation <= tol.recon_abs:  # a NaN norm fails too
         raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
 

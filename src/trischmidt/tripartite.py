@@ -14,11 +14,11 @@ pivot eigenvalues.
 unfolding of the state.  It eigendecomposes that matrix, Hermitian by
 construction, without re-checking it, and canonicalizes only the kept
 eigenvectors.  One product gives all slices; their singular values and leading
-factors (by power steps) are computed on first read.  A rank test reads slice 0
-first: a non-degenerate pivot forces the slicing, so one entangled slice rejects.
-Past slice 0 it proves rank one from each slice's power-step residual, which
-bounds its second singular value, and reads the slices' SVD only when that
-proof fails; the weights are the squared slice norms.
+factors (by power steps) are computed on first read.  An eigenbasis slicing's
+rank test reads slice 0 first: a non-degenerate pivot forces the slicing, so one
+entangled slice rejects.  Past slice 0 it proves rank one from each slice's
+power-step residual, which bounds its second singular value, and reads the SVD
+only when that proof fails; a refined slicing, built to be rank one, proves first.
 An analysis carries the ``Tolerances`` it was made with, and every test of it
 (ranks, factor families, refinement) reads them from there.
 
@@ -111,17 +111,18 @@ class SliceAnalysis:
     def all_rank_one(self) -> bool:
         """Whether every slice has rank one, as ``slice_ranks`` counts it, reading as little as it can.
 
-        A defective slice 0 answers from its own SVD.  Otherwise residuals all
-        within ``rank_rel / 2`` prove rank one without the other slices' SVDs: a
+        Residuals all within ``rank_rel / 2`` prove rank one without an SVD: a
         residual bounds ``sigma_2 / sigma_1`` from above, and the other half of
         ``rank_rel`` covers the rounding of both it and the SVD, a few float64
-        ulps of ``sigma_1``.  Only when that proof fails are ``slice_ranks`` read.
+        ulps of ``sigma_1``.  It comes first when the factors are at hand (a refined
+        slicing's), else after slice 0's own SVD; ``slice_ranks`` only if it fails.
         """
-        if linalg.numerical_rank(self._first_values, self.tol) != (1,):
-            return False
-        if np.all(self.rank_one_residuals <= self.tol.rank_rel / 2):
+        proof = lambda: bool((self.rank_one_residuals <= self.tol.rank_rel / 2).all())  # noqa: E731
+        if "_factors" in vars(self) and proof():
             return True
-        return all(rank == 1 for rank in self.slice_ranks)
+        if linalg.numerical_rank(self._first_values[0], self.tol) != 1:
+            return False
+        return proof() or all(rank == 1 for rank in self.slice_ranks)
 
     @cached_property
     def valid(self) -> bool:
@@ -189,13 +190,13 @@ def degeneracy_groups(spectrum, tol: Tolerances = DEFAULT_TOL) -> list[list[int]
     Consecutive values are chained into one group when their gap is at
     most ``degen_rel`` relative to the largest value.
     """
-    vals = np.asarray(spectrum, dtype=float)
-    if vals.size == 0:
+    vals = np.asarray(spectrum, dtype=float).tolist()  # Python floats: no numpy scalar per step
+    if not vals:
         return []
-    scale = max(abs(float(vals[0])), np.finfo(float).tiny)
+    cut = tol.degen_rel * max(abs(vals[0]), np.finfo(float).tiny)
     groups = [[0]]
-    for i in range(1, vals.size):
-        if float(vals[i - 1] - vals[i]) <= tol.degen_rel * scale:
+    for i in range(1, len(vals)):
+        if vals[i - 1] - vals[i] <= cut:  # a NaN gap starts a group
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -221,9 +222,9 @@ def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, ...]:
     rows = np.argmax(row_squares, axis=1)
     u = slices @ slices[np.arange(len(slices)), rows, :, None].conj()
     vh = np.swapaxes(u.conj(), 1, 2) @ slices
-    vh /= np.linalg.norm(vh, axis=2, keepdims=True)
+    vh /= linalg._norms(vh, 2)
     u = slices @ np.swapaxes(vh.conj(), 1, 2)
-    gain = np.linalg.norm(u, axis=1, keepdims=True)
+    gain = linalg._norms(u, 1)
     rest = u * vh
     np.subtract(slices, rest, out=rest)
     rest = rest.view(np.float64)
@@ -266,14 +267,15 @@ def _shared_factors(slices, tol: Tolerances):
     hold all the slices' mass.  Row i of the result is the diagonal of slice i.
     """
     stack = np.asarray(slices)
-    mixed = np.tensordot(_mix(len(stack)), stack, axes=1)
+    n = len(stack)  # tensordot's (1, n) x (n, d1 d2) product, so BLAS makes the same call
+    mixed = np.dot(_mix(n).reshape(1, n), stack.reshape(n, -1)).reshape(stack.shape[1:])
     u, s, vh = linalg._lapack(np.linalg.svd, mixed, full_matrices=False)
     k = linalg.numerical_rank(s, tol)
     y, z = u[:, :k], vh[:k].conj().T
     d = y.conj().T @ stack @ z
-    diag = np.diagonal(d, axis1=1, axis2=2)
-    off = d - diag[:, :, None] * np.eye(k)
-    if float(np.max(np.abs(off), initial=0.0)) > 1e3 * tol.recon_abs:
+    diag = np.diagonal(d, axis1=1, axis2=2).copy()
+    d.reshape(n, -1)[:, :: k + 1] = 0.0  # leaves the off-diagonal part
+    if float(np.abs(d).max(initial=0.0)) > 1e3 * tol.recon_abs:
         return None
     mass = float(np.sum(np.abs(diag) ** 2)) - float(np.sum(np.abs(stack) ** 2))
     if abs(mass) > math.sqrt(tol.recon_abs):  # mass escaped the retained modes
@@ -303,11 +305,11 @@ def _families_orthonormal(left: np.ndarray, right: np.ndarray, tol: Tolerances) 
     are scalars and cannot be orthogonal, yet they contribute nothing to
     the state.
     """
-    eye = np.eye(left.shape[1])
-    return all(
-        f.shape[0] == 1 or float(np.max(np.abs(f.conj().T @ f - eye))) <= math.sqrt(tol.recon_abs)
-        for f in (left, right)
-    )
+    def deviation(f):  # max |f^H f - I|, the diagonal's one subtracted in place
+        gram = f.conj().T @ f
+        gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+        return float(np.abs(gram).max())
+    return all(f.shape[0] == 1 or deviation(f) <= math.sqrt(tol.recon_abs) for f in (left, right))
 
 
 def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
@@ -332,11 +334,11 @@ def refine_degenerate(analysis: SliceAnalysis) -> SliceAnalysis | None:
         return None
     u, _, vh = linalg._lapack(np.linalg.svd, diag.conj().T)
     coeff = u @ vh  # closest unitary: keeps the new slicing an exact rotation
-    return replace(
-        analysis,
-        pivot_basis=analysis.pivot_basis @ coeff.conj().T,
-        slices=np.tensordot(coeff, slices, axes=1),
-    )
+    rotated = np.dot(coeff, slices.reshape(len(slices), -1)).reshape(slices.shape)  # tensordot's
+    refined = SliceAnalysis(analysis.pivot_party, analysis.pivot_basis @ coeff.conj().T,
+                            analysis.pivot_spectrum, rotated, analysis.tol)
+    refined._factors  # built to be rank one, so it proves that first from these power steps
+    return refined
 
 
 def construct(analysis: SliceAnalysis) -> TripartiteSchmidt:

@@ -155,25 +155,52 @@ def test_gen_empty_field_is_usage_error(argv, message, capsys):
     assert message in err
 
 
-def test_gen_bad_weights_is_data_error(capsys):
-    code, _, err = run_cli(
+def test_gen_bad_weights_is_usage_error(capsys):
+    code, out, err = run_cli(
         ["gen", "schmidt", "--dims", "2,2,2", "--weights", "0.5,0.3,0.2", "--seed", "1"],
         capsys,
     )
-    assert code == EXIT_DATA
-    assert "BadWeights" in err
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("trischmidt gen: error: argument --weights: "
+                   "3 weights exceed the smallest dimension 2\n")
 
 
-def test_gen_overflowing_weight_sum_is_data_error(capsys):
+def test_gen_overflowing_weight_sum_is_usage_error(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
             ["gen", "schmidt", "--dims", "2,2,2", "--weights", "1e308,1e308", "--seed", "1"],
             capsys,
         )
-    assert code == EXIT_DATA
+    assert code == EXIT_USAGE
     assert out == ""
-    assert err == "trischmidt gen: error: BadWeights: weights sum to inf, not a finite number\n"
+    assert err == ("trischmidt gen: error: argument --weights: "
+                   "weights sum to inf, not a finite number\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ghz", "--dims", "2"], "argument --dims: expected 2 or 3 dimensions, got 1"),
+    (["haar", "--dims", "0,2,2", "--seed", "1"],
+     "argument --dims: every dimension must be >= 1, got (0, 2, 2)"),
+    (["w", "--dims", "1,2,2"], "argument --dims: w needs every dimension >= 2, got (1, 2, 2)"),
+    (["schmidt", "--dims", "2,2,2", "--weights=-1,2", "--seed", "1"],
+     "argument --weights: weights must be positive and finite, got [-1.0, 2.0]"),
+])
+def test_gen_value_the_generator_refuses_is_usage_error(argv, message, capsys):
+    # the option's value is at fault, not a state file: exit 64, naming the option
+    code, out, err = run_cli(["gen", *argv], capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", f"trischmidt gen: error: {message}\n")
+
+
+@pytest.mark.parametrize("option", ["--weights", "--dims"])
+def test_gen_value_read_as_an_option_suggests_the_equals_form(option, capsys):
+    argv = ["schmidt", "--dims", "2,2,2", "--weights", "1,2", "--seed", "1"]
+    argv[argv.index(option) + 1] = "-1,2"
+    code, out, err = run_cli(["gen", *argv], capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.endswith(f"error: argument {option}: expected one argument "
+                        f"(write {option}=VALUE for a value that begins with '-')\n")
 
 
 @pytest.mark.parametrize("argv, message", [

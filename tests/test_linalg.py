@@ -122,6 +122,45 @@ def test_numerical_rank_threshold_rule():
     assert numerical_rank([0.0, 0.0]) == 0
 
 
+def _count_along_last_axis(values, tol=DEFAULT_TOL):
+    # the form numerical_rank must reproduce exactly, for 1-D and 2-D input alike
+    vals = np.asarray(values, dtype=float)
+    ranks = np.count_nonzero(vals > tol.rank_rel * vals[..., :1], axis=-1)
+    return tuple(ranks.tolist()) if vals.ndim > 1 else int(ranks)
+
+
+@pytest.mark.parametrize("values, rank", [
+    ([], 0), ([0.0], 0), ([0.0, 0.0, 0.0], 0), ([2.0], 1),
+    ([1.0, 0.25, 0.25], 1),  # exactly at the cutoff: not above it
+    ([1.0, np.nextafter(0.25, 1.0), 0.25], 2),
+    ([[1.0, 0.5, 0.25], [0.0, 0.0, 0.0], [4.0, np.nextafter(1.0, 2.0), 1.0]], (2, 0, 2)),
+    (np.zeros((3, 0)), (0, 0, 0)), (np.zeros((0, 4)), ()),
+], ids=["empty", "zero", "zeros", "one", "at-cutoff", "above-cutoff", "rows", "empty-rows",
+        "no-rows"])
+def test_numerical_rank_matches_the_count_along_the_last_axis(values, rank):
+    tol = Tolerances(rank_rel=0.25)
+    assert numerical_rank(values, tol) == _count_along_last_axis(values, tol) == rank
+    assert type(numerical_rank(values, tol)) is type(rank)
+    rng = np.random.default_rng(49)
+    stack = -np.sort(-rng.uniform(0.0, 1.0, (50, 6)) ** 40, axis=1)  # ranks spread over 1-6
+    assert numerical_rank(stack) == _count_along_last_axis(stack)
+    assert [numerical_rank(row) for row in stack] == list(_count_along_last_axis(stack))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_norms_are_the_bits_of_numpy_norm(axis):
+    # the power steps' norms along the last two axes, and the unit-column test's along
+    # axis 0, on contiguous and strided input, extreme magnitudes and zero vectors
+    from trischmidt.linalg import _norms
+
+    rng = np.random.default_rng(50 + axis)
+    x = random_complex((5, 6, 7), rng) * 10.0 ** rng.integers(-150, 150, size=(5, 6, 7))
+    x[0] = 0.0
+    for a in (x, x[:, ::2, ::-3], np.swapaxes(x, 0, 2), x[:, :1], x[:, :, :1], x.real):
+        expected = np.linalg.norm(a, axis=axis, keepdims=True)
+        assert np.array_equal(_bits(_norms(a, axis)), _bits(expected))
+
+
 def test_numerical_rank_of_w_slice():
     # oracle: closed-form singular values of a 2x2 matrix via its Gram trace
     # and determinant; the slice is (|01> + |10>)/sqrt(3)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from trischmidt import (
     DimensionMismatch,
     NotNormalized,
     PureState,
+    Tolerances,
     ghz_state,
     haar_state,
     haar_unitary,
@@ -126,6 +128,37 @@ def test_partial_inner_product_completeness():
                 np.argsort([party] + [p for p in range(3) if p != party])
             )
         assert np.max(np.abs(rebuilt - state.tensor)) < 1e-12
+
+
+def _unit_columns_reference(vectors, tol):
+    # the form _check_unit_columns must reproduce: np.linalg.norm's column norms
+    deviation = float(np.max(np.abs(np.linalg.norm(vectors, axis=0) - 1.0)))
+    if not deviation <= tol.recon_abs:
+        raise NotNormalized(f"contraction vector norm deviates from 1 by {deviation:.3e}")
+
+
+def test_unit_column_check_matches_the_norm_form():
+    # strided vectors and column slices, as partial_inner_product and analyze pass them
+    from trischmidt.states import _check_unit_columns
+
+    u = haar_unitary(6, np.random.default_rng(12))
+    nan = u.copy()
+    nan[2, 3] = np.nan
+    tol = Tolerances()
+    for vectors in (u[:, 1], u[1], u[::-1, 4], u[:, 1:4], u[:, ::2], u[::2, 0] * np.sqrt(2),
+                    1.1 * u, nan, nan[:, :3], (1.0 + 3e-11) * u[:, 0], (1.0 + 3e-10) * u[:, :2]):
+        try:
+            _unit_columns_reference(vectors, tol)
+            expected = None
+        except NotNormalized as exc:
+            expected = str(exc)
+        if expected is None:
+            _check_unit_columns(vectors, tol)
+        else:
+            with pytest.raises(NotNormalized, match=f"^{re.escape(expected)}$"):
+                _check_unit_columns(vectors, tol)
+    with pytest.raises(NotNormalized, match="^contraction vector norm deviates from 1 by nan$"):
+        _check_unit_columns(nan[:, 3], tol)
 
 
 def test_reduced_density_ghz():

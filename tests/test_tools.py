@@ -114,9 +114,15 @@ def test_bench_pairs_smoke_appends_a_record(tmp_path):
         run = _tool("bench_pairs.py", "--parent", str(ROOT), "--workload", "decide-generic",
                     "--pairs", "1", "--smoke", "--out", str(results))
         assert run.returncode == 0, run.stderr
-        assert run.stderr.splitlines() == ["pair 1/1: parent", "pair 1/1: change"]
         records = json.loads(results.read_text())
         assert len(records) == n
+        # one side, twice: a bytecode warning for each side or for neither
+        bytecode = records[-1]["sides"]["parent"]["bytecode"]
+        assert records[-1]["sides"]["change"]["bytecode"] == bytecode
+        warnings = [f"warning: {side} side holds bytecode in {', '.join(bytecode)}; its imports "
+                    "skip compiling, so set-up and import times may not compare"
+                    for side in ("parent", "change")] if bytecode else []
+        assert run.stderr.splitlines() == [*warnings, "pair 1/1: parent", "pair 1/1: change"]
     record = records[-1]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
@@ -131,4 +137,5 @@ def test_bench_pairs_smoke_appends_a_record(tmp_path):
         assert name in run.stdout
     assert all(r["correct"] for side in record["runs"].values() for r in side)
     assert record["sides"]["parent"]["src_lines"] == record["sides"]["change"]["src_lines"] > 0
+    assert all(path.startswith("src/") for path in record["sides"]["parent"]["bytecode"])
     assert set(record["machine"]) == {"cores", "cpu", "blas", "blas_threads", "numpy", "python"}

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from trischmidt import linalg, tripartite
 from trischmidt import (
+    DEFAULT_TOL,
     DimensionMismatch,
     Indeterminate,
     NoConvergence,
@@ -543,14 +545,16 @@ def test_power_step_factors_are_computed_once_and_only_when_read(monkeypatch):
     verdict = check(schmidt_state((8, 8, 8), weights, seed=99))
     assert verdict.decomposable and not verdict.degenerate
     assert calls == [8]
-    # refine_degenerate's replace() starts the refined analysis with an empty cache
+    # refine_degenerate computes the refined slicing's factors once, when it builds it
     calls.clear()
     state = schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92)
     analysis = analyze(state)
     unrotated = analysis.left_factors
+    assert calls == [6]
     refined = refine_degenerate(analysis)
-    assert refined is not analysis and calls == [6]
+    assert refined is not analysis and calls == [6, 6]
     assert refined.right_factors is refined.right_factors
+    assert refined.all_rank_one and "_first_values" not in vars(refined)  # proved, no SVD
     assert calls == [6, 6]
     assert not np.array_equal(refined.left_factors, unrotated)
     _assert_leading_factors(refined)
@@ -611,6 +615,94 @@ def test_degeneracy_groups():
     assert degeneracy_groups([2 / 3, 1 / 3], tol) == [[0], [1]]
     assert degeneracy_groups([0.4, 0.4, 0.2], tol) == [[0, 1], [2]]
     assert degeneracy_groups([], tol) == []
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _groups_reference(spectrum, tol):
+    # the loop degeneracy_groups must reproduce: chain each value to the one before it
+    vals = np.asarray(spectrum, dtype=float)
+    if vals.size == 0:
+        return []
+    scale = max(abs(float(vals[0])), np.finfo(float).tiny)
+    groups = [[0]]
+    for i in range(1, vals.size):
+        if float(vals[i - 1] - vals[i]) <= tol.degen_rel * scale:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+@pytest.mark.parametrize("spectrum, groups", [
+    ([], []),
+    ([0.7], [[0]]),
+    ([1.0, 0.75, 0.5, 0.125], [[0, 1, 2], [3]]),  # gaps exactly at the cutoff chain
+    ([1.0, np.nextafter(0.75, 0.0), 0.5], [[0], [1, 2]]),  # one ulp past it does not
+    ([0.5, np.nan, 0.2, 0.2], [[0], [1], [2, 3]]),  # a NaN gap starts a group
+    ([np.nan, 0.5, 0.5], [[0], [1], [2]]),  # a NaN scale chains nothing
+    ([0.0, 0.0, 0.0], [[0, 1, 2]]),
+], ids=["empty", "one", "chained", "ulp-past", "nan-gap", "nan-scale", "zeros"])
+def test_degeneracy_groups_match_the_chaining_loop(spectrum, groups):
+    tol = Tolerances(degen_rel=0.25)
+    assert degeneracy_groups(spectrum, tol) == _groups_reference(spectrum, tol) == groups
+    rng = np.random.default_rng(115)
+    for _ in range(200):  # runs of exact ties and of near-ties on either side of the cutoff
+        values = -np.sort(-rng.choice([0.5, 0.4, 0.4 - 4e-9, 0.4 - 6e-9, 0.1], rng.integers(1, 9)))
+        assert degeneracy_groups(values) == _groups_reference(values, DEFAULT_TOL)
+
+
+def _shared_factors_reference(slices, tol):
+    # the forms _shared_factors must reproduce: tensordot's mix, off-diagonal by np.eye
+    stack = np.asarray(slices)
+    mixed = np.tensordot(tripartite._mix(len(stack)), stack, axes=1)
+    u, s, vh = np.linalg.svd(mixed, full_matrices=False)
+    k = linalg.numerical_rank(s, tol)
+    y, z = u[:, :k], vh[:k].conj().T
+    d = y.conj().T @ stack @ z
+    diag = np.diagonal(d, axis1=1, axis2=2)
+    off = d - diag[:, :, None] * np.eye(k)
+    if float(np.max(np.abs(off), initial=0.0)) > 1e3 * tol.recon_abs:
+        return None
+    mass = float(np.sum(np.abs(diag) ** 2)) - float(np.sum(np.abs(stack) ** 2))
+    return None if abs(mass) > np.sqrt(tol.recon_abs) else diag
+
+
+@pytest.mark.parametrize("state", [
+    schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92),
+    haar_rotated(ghz_state((3, 3, 3)), 0), tied_blocks_state(16, 1)[0], UNTIED_ENTANGLED,
+    ANTISYM, haar_state((4, 4, 4), seed=116),
+], ids=["tied-6x7x8", "ghz-3-rot", "tied-blocks-16", "untied-entangled", "antisym", "haar-4"])
+def test_refinement_helpers_match_their_numpy_forms_bit_for_bit(state):
+    # the shared factors, the rotation by tensordot, and the factor-family test
+    # with max |f^H f - I| against np.eye
+    tol = Tolerances()
+    analysis = analyze(state)
+    diag, expected = tripartite._shared_factors(analysis.slices, tol), _shared_factors_reference(
+        analysis.slices, tol)
+    assert (diag is None) is (expected is None)
+    if diag is None:
+        return
+    assert np.array_equal(_bits(diag), _bits(expected))
+    refined = refine_degenerate(analysis)
+    if refined is None:  # fewer modes than slices
+        assert diag.shape[1] != len(analysis.slices)
+        return
+    u, _, vh = np.linalg.svd(expected.conj().T)
+    coeff = u @ vh
+    assert np.array_equal(_bits(refined.slices), _bits(np.tensordot(coeff, analysis.slices, 1)))
+    assert np.array_equal(_bits(refined.pivot_basis), _bits(analysis.pivot_basis @ coeff.conj().T))
+    for f in (refined.left_factors, refined.right_factors):
+        # deviations about 0, 4e-6, 4e-5 and, within rounding, the cutoff sqrt(recon_abs)
+        oks = []
+        for scale in (1.0, 1 + 2e-6, 1 + 2e-5, math.sqrt(1 + math.sqrt(tol.recon_abs))):
+            g = scale * f
+            deviation = float(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[1]))))
+            oks.append(deviation <= math.sqrt(tol.recon_abs))
+            assert tripartite._families_orthonormal(g, g, tol) is oks[-1]
+        assert oks[:3] == [True, True, False]
 
 
 def test_verdict_invariant_under_local_unitaries():

@@ -19,8 +19,9 @@ Haar up to 2x4096).  It then runs ``check``, ``check --all-pivots`` and
 on the two-party files, plus six valid ``gen`` runs (ghz, w, product,
 schmidt, and haar at 4x4x4 and 12x12x12, seeded where the kind takes a
 seed) that pin the bytes of generated state files, two ``gen`` runs with an
-empty field in ``--dims`` or ``--weights`` and one with a negative ``--seed``:
-nine ``gen`` runs and 113 runs in all.  All runs share one child
+empty field in ``--dims`` or ``--weights``, one with a negative ``--seed`` and
+two with ``--dims`` the generator refuses (one dimension; a zero): eleven
+``gen`` runs and 115 runs in all.  All runs share one child
 process per ``--src``, pinned to one BLAS thread and working in the files'
 directory; it calls ``trischmidt.cli.main`` once per run with stdout and
 stderr captured as bytes.  Each run writes one JSON record: the command, the
@@ -68,6 +69,8 @@ GEN_RUNS = (
     ("gen", "ghz", "--dims", "2,,2"),
     ("gen", "schmidt", "--dims", "2,2,2", "--weights", "0.5,,0.5", "--seed", "1"),
     ("gen", "haar", "--dims", "2,2,2", "--seed", "-1"),
+    ("gen", "ghz", "--dims", "2"),
+    ("gen", "haar", "--dims", "0,2,2", "--seed", "1"),
 )
 
 
