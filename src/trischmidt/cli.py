@@ -5,6 +5,10 @@ with amplitudes row-major, first index slowest.  Reports are JSON on
 stdout; errors go to stderr.  All numbers are serialized with 17
 significant digits so a report round-trips doubles losslessly.
 
+``python -m trischmidt`` and the ``trischmidt`` script run one BLAS thread
+whatever the environment says (``__main__.main`` pins it before numpy loads);
+``main`` called in-process uses the caller's, whose count can move last digits.
+
 Commands, each with the options it reads::
 
     trischmidt gen {ghz,w,product} --dims 2,2,2 [-o FILE]
@@ -316,10 +320,3 @@ def main(argv=None) -> int:
         print(f"trischmidt {args.command}: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-
-def run() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

@@ -1,7 +1,9 @@
 """The scripts under ``tools/`` still run against the package and diff as documented."""
 
 import difflib
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +17,9 @@ sys.path.insert(0, str(TOOLS))
 from verdict_digest import hash_line  # noqa: E402
 
 
-def _tool(name, *args):
+def _tool(name, *args, stdout=subprocess.PIPE, env=None):
     return subprocess.run([sys.executable, str(TOOLS / name), *args],
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
 
 
 @pytest.fixture(scope="module")
@@ -108,12 +110,42 @@ def test_cli_golden_hashes_match_the_committed_byte_contract():
     assert "\n".join(diff) == ""
 
 
+def test_cli_process_prints_the_one_thread_bytes_at_two_threads(tmp_path):
+    """``python -m trischmidt`` pins one BLAS thread before numpy loads, so with two
+    threads asked for in its environment it still prints the committed one-thread bytes
+    of the golden 20x20x20 distinct-weight state, whose reports move with the thread count
+    where BLAS runs two threads.  The golden child cannot show this: it loads numpy before
+    trischmidt.  On a machine with one core BLAS runs one thread either way, and this
+    passes with the pin or without it."""
+    import cli_golden
+
+    name = "distinct-20x20x20.json"
+    state = cli_golden.three_party_states()["distinct-20x20x20"]
+    (tmp_path / name).write_text(json.dumps(cli_golden._payload(state)) + "\n")
+    contract = (ROOT / "tests" / "golden" / "cli.sha256").read_text().splitlines()
+    expected = {line.split(" ", 3)[3]: line for line in contract}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="2",
+               OMP_NUM_THREADS="2")
+    for cmd in cli_golden.THREE_PARTY_COMMANDS:
+        command = " ".join((*cmd, name))
+        run = subprocess.run([sys.executable, "-m", "trischmidt", *cmd, name], cwd=tmp_path,
+                             env=env, capture_output=True, timeout=120)
+        line = cli_golden.hash_line(dict(run=command, exit=run.returncode,
+                                         stdout_sha256=hashlib.sha256(run.stdout).hexdigest(),
+                                         stderr_sha256=hashlib.sha256(run.stderr).hexdigest()))
+        assert line == expected[command]
+
+
 def test_bench_pairs_smoke_appends_a_record(tmp_path):
     results = tmp_path / "results.json"
-    for n in (1, 2):
+    read_end, closed_stdout = os.pipe()
+    os.close(read_end)
+    # the second run writes its summary, unbuffered, to a pipe nobody reads: the print
+    # fails, and the record written before it stays
+    for n, stdout in ((1, subprocess.PIPE), (2, closed_stdout)):
         run = _tool("bench_pairs.py", "--parent", str(ROOT), "--workload", "decide-generic",
-                    "--pairs", "1", "--smoke", "--out", str(results))
-        assert run.returncode == 0, run.stderr
+                    "--pairs", "1", "--smoke", "--out", str(results),
+                    stdout=stdout, env=dict(os.environ, PYTHONUNBUFFERED="1"))
         records = json.loads(results.read_text())
         assert len(records) == n
         # one side, twice: a bytecode warning for each side or for neither
@@ -122,7 +154,15 @@ def test_bench_pairs_smoke_appends_a_record(tmp_path):
         warnings = [f"warning: {side} side holds bytecode in {', '.join(bytecode)}; its imports "
                     "skip compiling, so set-up and import times may not compare"
                     for side in ("parent", "change")] if bytecode else []
-        assert run.stderr.splitlines() == [*warnings, "pair 1/1: parent", "pair 1/1: change"]
+        progress = [*warnings, "pair 1/1: parent", "pair 1/1: change"]
+        if stdout is subprocess.PIPE:
+            assert run.returncode == 0, run.stderr
+            assert run.stderr.splitlines() == progress
+            printed = run.stdout
+        else:
+            os.close(closed_stdout)
+            assert run.stderr.splitlines()[:len(progress)] == progress
+            assert "BrokenPipeError" in run.stderr
     record = records[-1]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
@@ -134,7 +174,7 @@ def test_bench_pairs_smoke_appends_a_record(tmp_path):
         for side in ("parent", "change"):
             value = record["runs"][side][0]["metrics"][name]["value"]
             assert entry[side] == {"median": value, "q1": value, "q3": value}
-        assert name in run.stdout
+        assert name in printed
     assert all(r["correct"] for side in record["runs"].values() for r in side)
     assert record["sides"]["parent"]["src_lines"] == record["sides"]["change"]["src_lines"] > 0
     assert all(path.startswith("src/") for path in record["sides"]["parent"]["bytecode"])

@@ -22,9 +22,10 @@ is better than the parent's by more than the parent's interquartile range,
 metrics have no bound, so they read ``gain`` or ``-``.
 
 ``--out FILE`` appends one record to the JSON list in ``FILE`` (made when
-missing): the settings, every run's metrics and outcome counts, the summary,
-the commit, ``src/`` line count and bytecode folders of each side, and the
-machine's cores, BLAS library and thread count, and numpy and Python versions.
+missing) before the summary is printed: the settings, every run's metrics and
+outcome counts, the summary, the commit, ``src/`` line count and bytecode
+folders of each side, and the machine's cores, BLAS library and thread count,
+and numpy and Python versions.
 It exits with 1 when a run fails or reports wrong output.
 
 A side whose ``src/`` holds compiled ``__pycache__`` files imports without
@@ -168,10 +169,7 @@ def main(argv=None) -> int:
             runs[side].append(_run(sides[side], args))
     metrics = SPEC["per_layer" if args.trace else "end_to_end"]
     summary = summarise(runs, metrics)
-    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs"
-          f"{', smoke' if args.smoke else ''}{', traced' if args.trace else ''}")
-    print(_table(summary, args.pairs))
-    if args.out is not None:
+    if args.out is not None:  # first, so a closed stdout loses no runs
         results = json.loads(args.out.read_text()) if args.out.is_file() else []
         results.append({
             "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
@@ -180,6 +178,9 @@ def main(argv=None) -> int:
             "machine": _machine(), "summary": summary, "runs": runs,
         })
         args.out.write_text(json.dumps(results, indent=1) + "\n")
+    print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs"
+          f"{', smoke' if args.smoke else ''}{', traced' if args.trace else ''}")
+    print(_table(summary, args.pairs))
     bad = [r for side in runs.values() for r in side if not r["correct"]]
     return 1 if bad else 0
 
