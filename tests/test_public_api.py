@@ -64,14 +64,14 @@ print(json.dumps(dict(loaded=loaded, environ=environ == dict(os.environ), unknow
 """
 
 
-def _fresh(*args, **kwargs):
+def _fresh(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60, **kwargs)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
 
 
 def test_import_loads_no_numpy_and_an_unknown_name_falls_back_to_the_submodule():
-    run = _fresh("-c", FRESH_IMPORT)
+    run = _fresh(FRESH_IMPORT)
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == dict(
         loaded=["trischmidt"], environ=True,
@@ -109,5 +109,5 @@ def test_console_script_target_resolves_and_runs():
     # what the installed script does: call the target with the command line in sys.argv
     code = (f"import sys; from {module} import {function}; "
             f"sys.argv = ['trischmidt', '--version']; sys.exit({function}())")
-    run = _fresh("-c", code)
+    run = _fresh(code)
     assert (run.returncode, run.stdout, run.stderr) == (0, f"trischmidt {trischmidt.__version__}\n", "")
