@@ -34,14 +34,19 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph.conj()
 
 
+def _basis_state(dims: tuple[int, ...], terms) -> PureState:
+    """The state ``sum amplitude |index>`` over ``terms`` of ``(index, amplitude)``."""
+    t = np.zeros(dims, dtype=np.complex128)
+    for index, amplitude in terms:
+        t[index] = amplitude
+    return PureState(dims, t.reshape(-1))
+
+
 def ghz_state(dims) -> PureState:
     """Uniform single-sum state over the computational basis, e.g. GHZ."""
     dims = _check_dims(dims)
     n = min(dims)
-    t = np.zeros(dims, dtype=np.complex128)
-    for i in range(n):
-        t[(i,) * len(dims)] = 1.0 / math.sqrt(n)
-    return PureState(dims, t.reshape(-1))
+    return _basis_state(dims, [((i,) * len(dims), 1.0 / math.sqrt(n)) for i in range(n)])
 
 
 def w_state(dims) -> PureState:
@@ -49,21 +54,14 @@ def w_state(dims) -> PureState:
     dims = _check_dims(dims)
     if any(d < 2 for d in dims):
         raise BadDims(f"w needs every dimension >= 2, got {dims}")
-    t = np.zeros(dims, dtype=np.complex128)
     amp = 1.0 / math.sqrt(len(dims))
-    for party in range(len(dims)):
-        idx = [0] * len(dims)
-        idx[party] = 1
-        t[tuple(idx)] = amp
-    return PureState(dims, t.reshape(-1))
+    return _basis_state(dims, [(tuple(row), amp) for row in np.eye(len(dims), dtype=int)])
 
 
 def product_state(dims) -> PureState:
     """The all-zero computational basis state."""
     dims = _check_dims(dims)
-    t = np.zeros(dims, dtype=np.complex128)
-    t[(0,) * len(dims)] = 1.0
-    return PureState(dims, t.reshape(-1))
+    return _basis_state(dims, [((0,) * len(dims), 1.0)])
 
 
 def schmidt_state(dims, weights, seed: int) -> PureState:

@@ -43,7 +43,7 @@ instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -162,7 +162,9 @@ class Verdict:
 
     ``max_residual`` is the largest second Schmidt coefficient across the
     slices of the analysis the verdict was based on: zero-ish for clean
-    acceptances, and a graded distance-to-criterion for rejections.  It reads
+    acceptances, and a graded distance-to-criterion for rejections, on distinct
+    weights.  Inside a near-tied block the eigenbasis is an arbitrary rotation, so
+    a tied state plus 1e-9 of noise can read 0.33 (the noisy-tie xfails).  It reads
     ``analysis.slice_values``, so only a caller that reads it pays for them;
     ``degenerate`` reads ``analysis.degenerate`` the same way.
     ``decomposable`` is None only in the verdict an :class:`Indeterminate`
@@ -373,11 +375,10 @@ def reconstruct(sd: TripartiteSchmidt) -> PureState:
     return PureState(sd.dims, amplitudes.reshape(-1))
 
 
-def _spectra_match(p, q, tol: Tolerances, atol: float) -> bool:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    p = p[: linalg.numerical_rank(np.maximum(p, 0.0), tol)]
-    q = q[: linalg.numerical_rank(np.maximum(q, 0.0), tol)]
+def _spectra_match(p: np.ndarray, q: np.ndarray, tol: Tolerances, atol: float) -> bool:
+    """Whether two ``_party_spectra`` agree within ``atol`` on their nonzero parts."""
+    p = p[: linalg.numerical_rank(p, tol)]
+    q = q[: linalg.numerical_rank(q, tol)]
     n = max(p.size, q.size)
     p = np.pad(p, (0, n - p.size))
     q = np.pad(q, (0, n - q.size))
@@ -409,25 +410,20 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
     # Degenerate pivot spectrum and no valid slicing found: reject only on
     # sound grounds, read from the eigenbasis slicing, otherwise refuse to guess.
     rejection = Verdict(False, None, analysis)
-    if any(len(g) == 1 and analysis.slice_ranks[g[0]] != 1 for g in analysis.groups):
-        return rejection
     for group in analysis.groups:
-        if len(group) < 2 or any(analysis.slice_ranks[i] != 1 for i in group):
-            continue
-        # All-rank-one block whose members are not factor-orthogonal: the
-        # span of this block contains no valid slicing at all.
-        left, right = analysis.left_factors[:, group], analysis.right_factors[:, group]
-        if not _families_orthonormal(left, right, tol):
-            return rejection
+        if any(analysis.slice_ranks[i] != 1 for i in group):
+            if len(group) == 1:  # an untied eigenvector forces its entangled slice
+                return rejection
+        elif len(group) > 1 and not _families_orthonormal(
+                analysis.left_factors[:, group], analysis.right_factors[:, group], analysis.tol):
+            return rejection  # a rank-one block that is not factor-orthogonal holds no valid slicing
     # A decomposition forces equal nonzero single-party spectra.
     a, b, c = _party_spectra(state)
-    margin = math.sqrt(tol.recon_abs)
-    if not all(_spectra_match(p, q, tol, margin) for p, q in ((a, b), (a, c), (b, c))):
+    margin = math.sqrt(analysis.tol.recon_abs)
+    if not all(_spectra_match(p, q, analysis.tol, margin) for p, q in ((a, b), (a, c), (b, c))):
         return rejection
-    raise Indeterminate(
-        "degenerate eigenspace could not be refined to a rank-one slicing",
-        replace(rejection, decomposable=None),
-    )
+    raise Indeterminate("degenerate eigenspace could not be refined to a rank-one slicing",
+                        Verdict(None, None, analysis))
 
 
 def _party_spectra(state: PureState) -> list[np.ndarray]:

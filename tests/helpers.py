@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 
 from trischmidt import PureState, haar_unitary, schmidt_state
+from trischmidt.generate import _basis_state as basis_state
 
 
 def apply_local_unitary(state: PureState, party: int, u) -> PureState:
@@ -41,14 +42,6 @@ def is_unitary(u, atol: float = 1e-10) -> bool:
 def reconstruct_bipartite(sd) -> np.ndarray:
     """The amplitude matrix ``sum_i c_i left_i right_i^T`` of a ``BipartiteSchmidt``."""
     return (sd.left_basis * sd.coefficients) @ sd.right_basis.T
-
-
-def basis_state(dims, terms) -> PureState:
-    """The state ``sum amplitude |index>`` over ``terms`` of ``(index, amplitude)``."""
-    amp = np.zeros(dims, dtype=complex)
-    for index, amplitude in terms:
-        amp[index] = amplitude
-    return PureState(dims, amp.reshape(-1))
 
 
 # eps_ijk / sqrt(6): every slice is an antisymmetric matrix of rank two

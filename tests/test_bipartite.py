@@ -55,6 +55,11 @@ def test_schmidt_decompose_rejects_zero():
         schmidt_decompose(np.zeros((2, 2)))
 
 
+def test_entanglement_entropy_rejects_zero():
+    with pytest.raises(ZeroVector, match="cannot decompose the zero vector"):
+        entanglement_entropy(np.zeros((2, 2)))
+
+
 def test_schmidt_rank_cases():
     assert numerical_rank(schmidt_decompose(BELL).coefficients) == 2
     rng = np.random.default_rng(31)

@@ -77,16 +77,22 @@ def test_dump_json_writes_arrays_as_the_scalar_branch_writes_floats():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("place", ["real", "re", "im", "row"])
+@pytest.mark.parametrize("place", ["real", "re", "im", "row", "scalar"])
 def test_dump_json_rejects_non_finite_array_entries(bad, place):
     array = {
         "real": np.array([1.0, bad]),
         "re": np.array([1j, complex(bad, 0.0)]),
         "im": np.array([1j, complex(0.0, bad)]),
         "row": np.array([[1j, 1.0], [1.0, complex(0.0, bad)]]),
+        "scalar": {"max_residual": float(bad)},  # the float branch, outside any array
     }[place]
     with pytest.raises(ValueError, match="non-finite number in output"):
         _dump_json(array)
+
+
+def test_dump_json_refuses_an_unsupported_type():
+    with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
+        _dump_json({"spectra": {0.5}})
 
 
 def test_gen_ghz_amplitudes(tmp_path, capsys):
@@ -272,6 +278,20 @@ def test_check_truncated_file_is_data_error(tmp_path, capsys):
     code, out, err = run_cli(["check", str(path)], capsys)
     assert code == EXIT_DATA
     assert "NotNormalized: amplitudes contain non-finite entries" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[[1.0, 0.0]]", "TrischmidtError: state file must be a JSON object"),
+    ('{"dims": [1, 1, 1]}', "TrischmidtError: state file is missing keys: ['amplitudes']"),
+    ('{"dims": [0, 2, 2], "amplitudes": []}', "DimensionMismatch: every dimension must be >= 1"),
+], ids=["json-array", "no-amplitudes", "zero-dimension"])
+def test_check_malformed_state_file_is_data_error(text, message, tmp_path, capsys):
+    path = tmp_path / "malformed.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["check", str(path)], capsys)
+    assert code == EXIT_DATA
+    assert message in err
     assert out == ""
 
 
