@@ -14,12 +14,11 @@ Commands, each with the options it reads::
     trischmidt gen {ghz,w,product} --dims 2,2,2 [-o FILE]
     trischmidt gen schmidt --dims 2,2,2 --weights W1,W2,.. --seed N [-o FILE]
     trischmidt gen haar --dims 2,2,2 --seed N [-o FILE]
-    trischmidt check STATEFILE [--tol-rank X] [--tol-recon X] [--tol-degen X] [--all-pivots]
+    trischmidt check STATEFILE [--tol-rank X] [--tol-recon X] [--tol-degen X]
     trischmidt spectra STATEFILE [--tol-rank X] [--tol-recon X]
     trischmidt decompose-bipartite STATEFILE [--tol-rank X] [--tol-recon X]
 
 Every report echoes the three tolerances; only ``check`` takes --tol-degen.
---all-pivots adds a verdict per pivot party (for equal dimensions).
 
 Exit codes: 0 decomposable / success, 1 not decomposable, 2 indeterminate
 (degenerate refinement failed), 64 usage error (also a tolerance outside
@@ -39,10 +38,10 @@ import numpy as np
 
 from . import __version__, generate
 from .bipartite import entropy_bits, schmidt_decompose
-from .exceptions import BadDims, BadWeights, DimensionMismatch, Indeterminate, TrischmidtError
-from .linalg import DEFAULT_TOL, Tolerances
+from .exceptions import BadDims, BadWeights, Indeterminate, TrischmidtError
+from .linalg import DEFAULT_TOL
 from .states import PureState, validate
-from .tripartite import PARTY_NAMES, Verdict, check, spectrum_report
+from .tripartite import PARTY_NAMES, check, spectrum_report
 
 EXIT_DECOMPOSABLE = 0
 EXIT_NOT_DECOMPOSABLE = 1
@@ -145,27 +144,6 @@ def _load(args, n_parties: int) -> tuple[PureState, dict]:
     return state, header
 
 
-def _verdict(state: PureState, tol: Tolerances, pivot: int | None = None) -> Verdict:
-    """``check``'s verdict, or the undecided one an :class:`Indeterminate` carries."""
-    try:
-        return check(state, tol, pivot=pivot)
-    except Indeterminate as exc:
-        return exc.verdict
-
-
-def _pivot_entry(state: PureState, tol: Tolerances, verdict: Verdict, pivot: int) -> dict:
-    """``check``'s verdict on ``pivot`` (``verdict`` if it is that pivot's); null where it refuses."""
-    try:
-        verdict = verdict if pivot == verdict.analysis.pivot_party else _verdict(state, tol, pivot)
-    except DimensionMismatch:
-        return {"decomposable": None, "max_residual": None, "slice_ranks": None}
-    return {
-        "decomposable": verdict.decomposable,
-        "max_residual": verdict.max_residual,
-        "slice_ranks": list(verdict.analysis.slice_ranks),
-    }
-
-
 def _cmd_gen(args) -> int:
     dims = tuple(args.dims)
     kind = args.kind
@@ -193,7 +171,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     state, report = _load(args, 3)
-    verdict = _verdict(state, args.tol)
+    try:
+        verdict = check(state, args.tol)
+    except Indeterminate as exc:  # the undecided verdict it carries
+        verdict = exc.verdict
     report["pivot_party"] = PARTY_NAMES[verdict.analysis.pivot_party]
     report["verdict"] = {
         "decomposable": verdict.decomposable,
@@ -203,10 +184,6 @@ def _cmd_check(args) -> int:
     }
     report["weights"] = verdict.decomposition.weights if verdict.decomposition else None
     report.update(spectrum_report(state, args.tol))
-    if args.all_pivots:
-        report["all_pivots"] = {
-            PARTY_NAMES[p]: _pivot_entry(state, args.tol, verdict, p) for p in range(3)
-        }
     sys.stdout.write(_dump_json(report) + "\n")
     if verdict.decomposable is None:
         return EXIT_INDETERMINATE
@@ -301,10 +278,6 @@ def _build_parser() -> _Parser:
         reader = sub.add_parser(name, parents=parents, help=text)
         reader.set_defaults(handler=handler)
         reader.add_argument("input", help="state file path, or - for stdin")
-    sub.choices["check"].add_argument(
-        "--all-pivots", action="store_true",
-        help="also report per-party verdicts (equal-dimension mode)")
-
     return parser
 
 

@@ -58,7 +58,7 @@ def validate(state: PureState, tol: Tolerances = DEFAULT_TOL) -> PureState:
     deviation = abs(float(np.vdot(state.amplitudes, state.amplitudes).real) - 1.0)
     if not math.isfinite(deviation) and not np.isfinite(state.amplitudes).all():
         raise NotNormalized("amplitudes contain non-finite entries")
-    if deviation > tol.recon_abs:
+    if not deviation <= tol.recon_abs:  # a NaN squared norm fails too
         raise NotNormalized(f"sum of |amplitude|^2 deviates from 1 by {deviation:.3e}")
     return state
 

@@ -239,9 +239,9 @@ def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None =
     """Slice ``state`` along the pivot eigenbasis; the slices are decomposed on first read.
 
     ``pivot`` defaults to the smallest party of dimension >= 2 (ties go
-    to A before B before C); passing it explicitly supports the
-    all-pivots mode for equal dimensions.  A pivot of dimension 1 beside a
-    larger party raises :class:`DimensionMismatch` before any decomposition.
+    to A before B before C); any other party it accepts gives ``check`` the
+    same verdict.  A pivot of dimension 1 beside a larger party raises
+    :class:`DimensionMismatch` before any decomposition.
     """
     validate(state, tol)
     if state.n_parties != 3:

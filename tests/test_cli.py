@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from trischmidt import (
-    DimensionMismatch,
     PureState,
-    check,
     ghz_state,
     haar_state,
     tripartite,
@@ -281,6 +279,22 @@ def test_check_truncated_file_is_data_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["check", "spectra"])
+def test_squared_norm_overflowing_to_nan_is_one_line_data_error(command, tmp_path, capsys):
+    # every entry is finite, but |1e308 + 1e308j|^2 overflows and the norm sums to NaN
+    path = tmp_path / "hugenorm.json"
+    path.write_text('{"dims": [2, 2, 2], "amplitudes": [[1e308, 1e308]'
+                    + ", [0.0, 0.0]" * 7 + "]}", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli([command, str(path)], capsys)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err == (f"trischmidt {command}: error: NotNormalized: "
+                   "sum of |amplitude|^2 deviates from 1 by nan\n")
+    assert caught == []
+
+
 @pytest.mark.parametrize("text, message", [
     ("[[1.0, 0.0]]", "TrischmidtError: state file must be a JSON object"),
     ('{"dims": [1, 1, 1]}', "TrischmidtError: state file is missing keys: ['amplitudes']"),
@@ -326,7 +340,7 @@ def test_check_report_is_byte_deterministic(tmp_path, capsys):
 
 
 def test_check_indeterminate_maps_to_exit_two(tmp_path, capsys, monkeypatch):
-    # a rotated GHZ 3^3 with refinement switched off: every pivot is indeterminate
+    # a rotated GHZ 3^3 with refinement switched off is indeterminate
     state = haar_rotated(ghz_state((3, 3, 3)), seed=0)
     monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis: None)
     path = write_state(tmp_path, "g.json", state)
@@ -339,12 +353,6 @@ def test_check_indeterminate_maps_to_exit_two(tmp_path, capsys, monkeypatch):
     assert payload["verdict"]["max_residual"] > 0.1
     assert payload["weights"] is None
     assert payload["pivot_party"] == "A"
-    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
-    assert code == EXIT_INDETERMINATE
-    for party in ("A", "B", "C"):
-        entry = json.loads(out)["all_pivots"][party]
-        assert entry["decomposable"] is None
-        assert entry["slice_ranks"] == [3, 3, 3]
 
 
 def test_check_rejects_bipartite_input(tmp_path, capsys):
@@ -363,40 +371,6 @@ def test_check_tolerance_flags_echoed(tmp_path, capsys):
     assert payload["tolerances"]["rank_rel"] == 1e-6
     assert payload["tolerances"]["degen_rel"] == 1e-5
     assert payload["tolerances"]["recon_abs"] == 1e-10
-
-
-def test_check_all_pivots(tmp_path, capsys):
-    path = write_state(tmp_path, "g.json", ghz_state((2, 2, 2)))
-    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
-    assert code == EXIT_DECOMPOSABLE
-    payload = json.loads(out)
-    for party in ("A", "B", "C"):
-        assert payload["all_pivots"][party]["decomposable"] is True
-
-
-@pytest.mark.parametrize("dims, refused", [((1, 1, 1), ()), ((1, 3, 4), ("A",))],
-                         ids=["1x1x1", "1x3x4"])
-def test_check_all_pivots_entries_are_checks_verdicts(dims, refused, tmp_path, capsys):
-    # null exactly where check refuses the pivot: dimension 1 beside a larger party
-    state = haar_state(dims, seed=9)
-    path = write_state(tmp_path, "s.json", state)
-    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
-    assert code == EXIT_DECOMPOSABLE
-    entries = json.loads(out)["all_pivots"]
-    for pivot, party in enumerate("ABC"):
-        if party in refused:
-            with pytest.raises(DimensionMismatch, match="has dimension 1"):
-                check(state, pivot=pivot)
-            assert entries[party] == {"decomposable": None, "max_residual": None,
-                                      "slice_ranks": None}
-            continue
-        verdict = check(state, pivot=pivot)
-        assert entries[party] == {"decomposable": verdict.decomposable,
-                                  "max_residual": verdict.max_residual,
-                                  "slice_ranks": list(verdict.analysis.slice_ranks)}
-        if dims == (1, 1, 1):
-            assert entries[party] == {"decomposable": True, "max_residual": 0,
-                                      "slice_ranks": [1]}
 
 
 def test_spectra_command(tmp_path, capsys):
@@ -424,7 +398,7 @@ def test_check_product_state_prints_no_negative_zero(tmp_path, capsys):
     from trischmidt import product_state
 
     path = write_state(tmp_path, "p.json", product_state((2, 3, 2)))
-    code, out, _ = run_cli(["check", path, "--all-pivots"], capsys)
+    code, out, _ = run_cli(["check", path], capsys)
     assert code == EXIT_DECOMPOSABLE
     assert json.loads(out)["entropy_bits"] == {"A": 0, "B": 0, "C": 0}
     assert re.search(r"-0[,\]}]", out) is None  # "-0" ends a number only as negative zero
@@ -485,6 +459,7 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["decompose-bipartite", "{bell}", "--tol-degen", "1e-6"],
     ["decompose-bipartite", "{bell}", "--seed", "1"],
     ["gen", "ghz", "--dims", "2,2,2", "--tol-rank", "1e-6"],
+    ["check", "{ghz}", "--all-pivots"],
 ])
 def test_unread_option_is_usage_error(argv, state_files, capsys):
     code, out, err = run_cli([arg.format(**state_files) for arg in argv], capsys)
@@ -521,11 +496,6 @@ _VERDICT = [
     "verdict.decomposable", "verdict.degenerate", "verdict.indeterminate", "verdict.max_residual",
     "weights",
 ]
-_ALL_PIVOTS = [
-    "all_pivots.A.decomposable", "all_pivots.A.max_residual", "all_pivots.A.slice_ranks",
-    "all_pivots.B.decomposable", "all_pivots.B.max_residual", "all_pivots.B.slice_ranks",
-    "all_pivots.C.decomposable", "all_pivots.C.max_residual", "all_pivots.C.slice_ranks",
-]
 _BIPARTITE = ["coefficients", "left_basis", "right_basis", "input_norm", "entropy_bits"]
 
 
@@ -541,12 +511,10 @@ def _leaf_paths(obj, prefix=""):
 
 @pytest.mark.parametrize("argv, expected", [
     (["check", "{w}"], _HEADER + _VERDICT + _SPECTRA),
-    (["check", "{w}", "--all-pivots"], _HEADER + _VERDICT + _SPECTRA + _ALL_PIVOTS),
     (["spectra", "{w}"], _HEADER + _SPECTRA),
     (["decompose-bipartite", "{bell}"], _HEADER + _BIPARTITE),
     # an accepted verdict prints the same keys in the same order
     (["check", "{ghz}"], _HEADER + _VERDICT + _SPECTRA),
-    (["check", "{ghz}", "--all-pivots"], _HEADER + _VERDICT + _SPECTRA + _ALL_PIVOTS),
     (["spectra", "{ghz}"], _HEADER + _SPECTRA),
 ])
 def test_report_key_order(argv, expected, state_files, capsys):

@@ -80,6 +80,14 @@ def test_validate_reports_a_finite_entry_too_large_to_square_as_a_deviation():
         validate(PureState((2, 2, 2), amplitudes))
 
 
+def test_validate_rejects_a_squared_norm_that_overflows_to_nan():
+    # every entry is finite, yet np.vdot overflows on 1e308 + 1e308j and returns nan + nanj
+    state = PureState((2, 2, 2), [1e308 + 1e308j] + [0] * 7)
+    assert np.isfinite(state.amplitudes).all()
+    with pytest.raises(NotNormalized, match="^sum of \\|amplitude\\|\\^2 deviates from 1 by nan$"):
+        validate(state)
+
+
 def test_validate_rejects_wrong_party_count():
     with pytest.raises(DimensionMismatch):
         validate(PureState((8,), np.ones(8) / np.sqrt(8)))

@@ -178,4 +178,6 @@ def test_bench_pairs_smoke_appends_a_record(tmp_path):
     assert all(r["correct"] for side in record["runs"].values() for r in side)
     assert record["sides"]["parent"]["src_lines"] == record["sides"]["change"]["src_lines"] > 0
     assert all(path.startswith("src/") for path in record["sides"]["parent"]["bytecode"])
-    assert set(record["machine"]) == {"cores", "cpu", "blas", "blas_threads", "numpy", "python"}
+    assert set(record["machine"]) == {"cores", "cpu", "blas", "blas_core", "blas_threads", "numpy",
+                                      "python"}
+    assert record["machine"]["blas_core"]

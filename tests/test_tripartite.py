@@ -780,15 +780,55 @@ def test_check_refuses_an_explicit_trivial_pivot(trivial):
     assert check(PureState((1, 1, 1), np.array([1.0])), pivot=0).decomposable
 
 
-def test_check_all_pivots_agree_on_equal_dims():
-    state = schmidt_state((3, 3, 3), [0.5, 0.3, 0.2], seed=61)
+def _verdict_on(state, pivot):
+    """``check``'s verdict on ``pivot``, or the undecided one its ``Indeterminate`` carries."""
+    try:
+        return check(state, pivot=pivot)
+    except Indeterminate as exc:
+        return exc.verdict
+
+
+PIVOT_CASES = {
+    "schmidt-3": (schmidt_state((3, 3, 3), [0.5, 0.3, 0.2], seed=61), True),
+    "haar-2": (haar_state((2, 2, 2), seed=62), False),
+    "w-3": (w_state((3, 3, 3)), False),
+    "antisym": (ANTISYM, None),
+    "untied-entangled": (UNTIED_ENTANGLED, False),
+    "unequal-spectra": (UNEQUAL_SPECTRA, False),
+    "ghz-3-rot": (haar_rotated(ghz_state((3, 3, 3)), 0), True),
+    "tied-6x7x8": (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
+    # pivot A has dimension 1 beside larger parties, so check refuses it
+    "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), True),
+}
+
+
+@pytest.mark.parametrize("state, decomposable", PIVOT_CASES.values(), ids=PIVOT_CASES)
+def test_every_accepted_pivot_gives_the_default_verdict(state, decomposable):
+    # whether a decomposition exists does not depend on the party that supplies the basis
+    default = _verdict_on(state, None)
+    assert default.decomposable is decomposable
     for pivot in range(3):
-        verdict = check(state, pivot=pivot)
-        assert verdict.decomposable
-        assert np.max(np.abs(verdict.decomposition.weights - [0.5, 0.3, 0.2])) < 1e-8
-    hs = haar_state((2, 2, 2), seed=62)
+        if state.dims[pivot] == 1:
+            with pytest.raises(DimensionMismatch, match="has dimension 1"):
+                check(state, pivot=pivot)
+            continue
+        verdict = _verdict_on(state, pivot)
+        assert verdict.analysis.pivot_party == pivot
+        assert verdict.decomposable is decomposable
+        if decomposable:
+            assert np.max(np.abs(verdict.decomposition.weights
+                                 - default.decomposition.weights)) < 1e-8
+
+
+def test_every_pivot_of_an_unrefined_rotated_ghz_is_indeterminate(monkeypatch):
+    # a rotated GHZ 3^3 with refinement switched off: no pivot's slices are rank one
+    state = haar_rotated(ghz_state((3, 3, 3)), seed=0)
+    monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis: None)
     for pivot in range(3):
-        assert not check(hs, pivot=pivot).decomposable
+        with pytest.raises(Indeterminate) as info:
+            check(state, pivot=pivot)
+        assert info.value.verdict.decomposable is None
+        assert info.value.verdict.analysis.slice_ranks == (3, 3, 3)
 
 
 def test_forced_degenerate_generator_states_accepted():

@@ -5,8 +5,7 @@ below holds it so), where the ``lapack_calls`` fixture records it.  A row gives
 an input, its verdict (None: ``Indeterminate``), the exact calls of ``check``
 and those a later read of ``max_residual`` adds: ``eigh``, ``values`` (singular
 values only), ``thin`` or ``full`` (min(m, n) or all singular vectors).  The CLI
-rows give the calls of ``check``, ``check --all-pivots`` and ``spectra`` on a
-state file.
+rows give the calls of ``check`` and ``spectra`` on a state file.
 """
 
 import ast
@@ -121,36 +120,27 @@ def _verdict_calls(row: str) -> str:
 
 
 # cli.main(["check", F]) makes its verdict's calls, the max_residual read and
-# spectrum_report's unfoldings; --all-pivots reuses that verdict and adds the
-# other two pivots' checks (a refused pivot costs nothing)
+# spectrum_report's unfoldings
 CLI_ROWS = {
-    "haar-16": (ROWS["haar-16"][0], _verdict_calls("haar-16"),
-                2 * ["eigh 16x16, values 16x16, values 15x16x16"]),
-    "tied-6x7x8": (ROWS["tied-6x7x8"][0], _verdict_calls("tied-6x7x8"),
-                   ["eigh 7x7, values 6x8, thin 6x8, full 6x6, values 6x8, values 5x6x8",
-                    "eigh 8x8, values 6x7, thin 6x7, full 6x6, values 6x7, values 5x6x7"]),
-    "antisym": (ANTISYM, _verdict_calls("antisym"),
-                2 * ["eigh 3x3, values 3x3, thin 3x3, values 2x3x3, " + _unfoldings((3, 3, 3))]),
-    "unequal-spectra": (UNEQUAL_SPECTRA, _verdict_calls("unequal-spectra"),
-                        2 * ["eigh 3x3, values 2x3, values 2x2x3"]),
-    # pivot A has dimension 1 beside larger parties, so check refuses it
-    "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), "eigh 3x3, values 1x4, values 2x1x4",
-                   ["eigh 4x4, values 1x3, values 2x1x3"]),
-    # one retained slice, and both other pivots refused
-    "haar-1x1x5": (haar_state((1, 1, 5), seed=3401), "eigh 5x5, values 1x1", []),
+    "haar-16": (ROWS["haar-16"][0], _verdict_calls("haar-16")),
+    "tied-6x7x8": (ROWS["tied-6x7x8"][0], _verdict_calls("tied-6x7x8")),
+    "antisym": (ANTISYM, _verdict_calls("antisym")),
+    "unequal-spectra": (UNEQUAL_SPECTRA, _verdict_calls("unequal-spectra")),
+    # pivot A has dimension 1 beside larger parties: the default pivot is B, and check refuses A
+    "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), "eigh 3x3, values 1x4, values 2x1x4"),
+    # one retained slice
+    "haar-1x1x5": (haar_state((1, 1, 5), seed=3401), "eigh 5x5, values 1x1"),
 }
 
 
-@pytest.mark.parametrize("command", ["check", "check --all-pivots", "spectra"])
-@pytest.mark.parametrize("state, verdict, other_pivots", CLI_ROWS.values(), ids=CLI_ROWS)
-def test_cli_makes_the_row_calls(state, verdict, other_pivots, command, tmp_path, lapack_calls,
-                                 capsys):
+@pytest.mark.parametrize("command", ["check", "spectra"])
+@pytest.mark.parametrize("state, verdict", CLI_ROWS.values(), ids=CLI_ROWS)
+def test_cli_makes_the_row_calls(state, verdict, command, tmp_path, lapack_calls, capsys):
     path = tmp_path / "state.json"
     path.write_text(cli._dump_json(cli.state_payload(state)) + "\n")
     spectra = _unfoldings(state.dims)
-    expected = {"check": [verdict, spectra], "check --all-pivots": [verdict, spectra, *other_pivots],
-                "spectra": [spectra]}[command]
-    cli.main([*command.split(), str(path)])
+    expected = {"check": [verdict, spectra], "spectra": [spectra]}[command]
+    cli.main([command, str(path)])
     capsys.readouterr()
     assert _calls(lapack_calls) == ", ".join(expected)
 

@@ -24,8 +24,9 @@ metrics have no bound, so they read ``gain`` or ``-``.
 ``--out FILE`` appends one record to the JSON list in ``FILE`` (made when
 missing) before the summary is printed: the settings, every run's metrics and
 outcome counts, the summary, the commit, ``src/`` line count and bytecode
-folders of each side, and the machine's cores, BLAS library and thread count,
-and numpy and Python versions.
+folders of each side, and the machine's cores, BLAS library, its OpenBLAS
+kernel (``unknown`` where numpy bundles no OpenBLAS that names it) and thread
+count, and numpy and Python versions.
 It exits with 1 when a run fails or reports wrong output.
 
 A side whose ``src/`` holds compiled ``__pycache__`` files imports without
@@ -38,6 +39,7 @@ before the runs and listed in the record.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -79,8 +81,21 @@ def _side_facts(side: Path) -> dict:
             "src_lines": lines, "bytecode": bytecode}
 
 
+def _blas_core() -> str:
+    """The OpenBLAS kernel numpy's bundled library picked for this CPU, or ``unknown``."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"  # where numpy's Linux wheels bundle it
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _machine() -> dict:
-    """Cores, BLAS, BLAS threads of the runs, and numpy and Python versions."""
+    """Cores, BLAS and its kernel, BLAS threads of the runs, and numpy and Python versions."""
     sys.path.insert(0, str(ROOT / "bench"))
     from run import BLAS_THREADS
 
@@ -91,7 +106,8 @@ def _machine() -> dict:
                       for line in Path("/proc/cpuinfo").read_text().splitlines()
                       if line.startswith("model name")), None)
     return {"cores": os.cpu_count(), "cpu": model or platform.machine(),
-            "blas": f"{blas['name']} {blas['version']}", "blas_threads": int(BLAS_THREADS),
+            "blas": f"{blas['name']} {blas['version']}", "blas_core": _blas_core(),
+            "blas_threads": int(BLAS_THREADS),
             "numpy": np.__version__, "python": platform.python_version()}
 
 
