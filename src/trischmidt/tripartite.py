@@ -52,7 +52,7 @@ from . import linalg
 from .bipartite import entropy_bits
 from .exceptions import DimensionMismatch, Indeterminate, RankNotOne
 from .linalg import DEFAULT_TOL, Tolerances
-from .states import PureState, _check_party, _check_unit_columns, _gram, _unfold, validate
+from .states import PureState, _check_unit_columns, _gram, _unfold, validate
 
 # Unused here, but kept importable by name because the benchmark tracer wraps
 # them, as it wraps ``_shared_basis_spectrum`` below.
@@ -235,20 +235,16 @@ def _power_step_factors(slices: np.ndarray) -> tuple[np.ndarray, ...]:
     return u[:, :, 0].T, vh[:, 0, :].T, residuals, row_squares.sum(axis=1)
 
 
-def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> SliceAnalysis:
+def analyze(state: PureState, tol: Tolerances = DEFAULT_TOL) -> SliceAnalysis:
     """Slice ``state`` along the pivot eigenbasis; the slices are decomposed on first read.
 
-    ``pivot`` defaults to the smallest party of dimension >= 2 (ties go
-    to A before B before C); any other party it accepts gives ``check`` the
-    same verdict.  A pivot of dimension 1 beside a larger party raises
-    :class:`DimensionMismatch` before any decomposition.
+    The pivot is the smallest party of dimension >= 2 (ties go to A before
+    B before C), the space of smaller dimension whose basis the paper takes.
     """
     validate(state, tol)
     if state.n_parties != 3:
         raise DimensionMismatch("analysis is defined for tripartite states")
-    pivot = _pivot_party(state.dims) if pivot is None else _check_party(state, pivot)
-    if state.dims[pivot] == 1 < max(state.dims):
-        raise DimensionMismatch(f"pivot {PARTY_NAMES[pivot]} has dimension 1")
+    pivot = _pivot_party(state.dims)
     m = _unfold(state.tensor, (pivot,))
     # rho is exactly Hermitian by construction, so it is not checked again
     spectrum, basis = linalg._eigh_canonical(_gram(m), tol, retained=True)
@@ -385,7 +381,7 @@ def _spectra_match(p: np.ndarray, q: np.ndarray, tol: Tolerances, atol: float) -
     return bool(np.max(np.abs(p - q), initial=0.0) <= atol)
 
 
-def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = None) -> Verdict:
+def check(state: PureState, tol: Tolerances = DEFAULT_TOL) -> Verdict:
     """Decide whether ``state`` admits a single-sum decomposition.
 
     Acceptance is constructive: the verdict carries the decomposition
@@ -394,11 +390,10 @@ def check(state: PureState, tol: Tolerances = DEFAULT_TOL, pivot: int | None = N
     non-degenerate eigenbasis is unique, so its slicing is forced; in
     the degenerate case a rejection needs either a forced rank defect
     outside the degenerate blocks, an in-block contradiction, or
-    clearly unequal single-party spectra.  Anything else raises
-    :class:`Indeterminate`.  ``analyze`` refuses a pivot of dimension 1 beside
-    a larger party with :class:`DimensionMismatch` before any decomposition.
+    clearly unequal single-party spectra.  Anything else raises :class:`Indeterminate`.
+    It pivots on the smallest party of dimension >= 2, the smaller space the paper uses.
     """
-    analysis = analyze(state, tol, pivot=pivot)
+    analysis = analyze(state, tol)
     if analysis.valid:
         return Verdict(True, construct(analysis), analysis)
     if not analysis.degenerate:

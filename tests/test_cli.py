@@ -1,11 +1,17 @@
+import io
 import json
+import math
 import re
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from trischmidt import (
     PureState,
@@ -537,8 +543,6 @@ def test_gen_check_pipeline_in_process(tmp_path, capsys):
 
 
 def test_load_state_file_from_stdin(tmp_path, capsys, monkeypatch):
-    import io
-
     text = _dump_json(state_payload(w_state((2, 2, 2)))) + "\n"
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     state = load_state_file("-")
@@ -567,3 +571,63 @@ def test_subprocess_entry_point(tmp_path):
         input=w_run.stdout, capture_output=True, text=True,
     )
     assert reject.returncode == 1
+
+
+# the state-file front door, fuzzed: extreme finite numbers, JSON values of every other
+# type in either field, pairs of the wrong length, and dims that are not positive integers
+EXTREMES = st.sampled_from([1e308, -1e308, 1e154, -1e154, 1e-170, 5e-324, -5e-324, 0.0, -0.0,
+                            1.0, -1.0, 0.6, 0.8])
+NUMBERS = st.one_of(EXTREMES, st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**70, 2**70))
+JUNK = st.one_of(st.booleans(), st.text(max_size=3), st.none())
+DIMS = st.one_of(st.lists(st.one_of(st.integers(-1, 3), st.floats(0.5, 3.0), st.booleans()),
+                          max_size=4), JUNK, NUMBERS)
+PAIRS = st.one_of(st.lists(st.one_of(st.lists(NUMBERS, max_size=3), JUNK, NUMBERS), max_size=9),
+                  JUNK, NUMBERS)
+
+
+@st.composite
+def _valid_dims_with_extreme_amplitudes(draw, normalized: bool):
+    """Valid dims, and one pair of extreme finite numbers per amplitude; a ``normalized``
+    state has one amplitude 0.6 + 0.8j among subnormal, tiny and signed-zero ones."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    numbers = EXTREMES.filter(lambda x: abs(x) <= 1e-170) if normalized else EXTREMES
+    pairs = draw(st.lists(st.lists(numbers, min_size=2, max_size=2),
+                          min_size=math.prod(dims), max_size=math.prod(dims)))
+    if normalized:
+        pairs[draw(st.integers(0, len(pairs) - 1))] = [0.6, 0.8]
+    return {"dims": dims, "amplitudes": pairs}
+
+
+PAYLOADS = st.one_of(
+    _valid_dims_with_extreme_amplitudes(normalized=True),
+    _valid_dims_with_extreme_amplitudes(normalized=False),
+    st.fixed_dictionaries({"dims": DIMS, "amplitudes": PAIRS}),
+    st.fixed_dictionaries({}, optional={"dims": DIMS, "amplitudes": PAIRS}),  # keys missing
+    st.one_of(st.lists(NUMBERS, max_size=3), JUNK, NUMBERS),  # not an object
+)
+
+
+@pytest.mark.parametrize("command", ["check", "spectra"])
+@example(payload={"dims": [2, 2, 2], "amplitudes": [[1e308, 1e308]] + [[0.0, 0.0]] * 7})
+@example(payload={"dims": [1, 1, 1], "amplitudes": [[1e154, -1e154]]})
+@example(payload={"dims": [1, 2, 1], "amplitudes": [[0.6, 0.8], [5e-324, -0.0]]})
+@example(payload={"dims": [True, 2, 2], "amplitudes": [[1.0, 0.0], [0.0, False]]})
+@given(payload=PAYLOADS)
+def test_fuzzed_state_file_exits_cleanly(command, payload):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    stdin = io.StringIO(json.dumps(payload))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with mock.patch.object(sys, "stdin", stdin), redirect_stdout(stdout), \
+                redirect_stderr(stderr):
+            code = main([command, "-"])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (EXIT_DECOMPOSABLE, EXIT_NOT_DECOMPOSABLE, EXIT_INDETERMINATE, EXIT_DATA)
+    if code == EXIT_DATA:
+        assert out == ""
+        assert err.startswith(f"trischmidt {command}: error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+    else:
+        assert json.loads(out)["dims"] == payload["dims"] and err == ""
+    assert caught == []

@@ -93,8 +93,6 @@ def test_tripartite_calls_refuse_a_two_party_state(call):
 
 
 PARTY_CALLS = {
-    "check": lambda state, party: check(state, pivot=party),
-    "analyze": lambda state, party: analyze(state, pivot=party),
     "reduced_density": lambda state, party: reduced_density(state, (party,)),
     "partial_inner_product": lambda state, party: partial_inner_product(state, party, np.eye(3)[0]),
 }
@@ -114,11 +112,6 @@ def test_party_index_must_be_an_in_range_integer(name, party):
 def test_numpy_integer_party_index_is_accepted(name):
     state = haar_state((3, 3, 3), seed=3400)
     got, want = PARTY_CALLS[name](state, np.int64(1)), PARTY_CALLS[name](state, 1)
-    if name == "check":
-        got, want = got.analysis, want.analysis
-    if name in ("check", "analyze"):
-        assert got.pivot_party == want.pivot_party == 1
-        got, want = got.slice_values, want.slice_values
     assert np.array_equal(got, want)
 
 
@@ -479,21 +472,21 @@ def test_rank_one_proof_agrees_with_the_svd_rule(rank_rel, ratio):
                 construct(analysis)
 
 
-@pytest.mark.parametrize("dims", [(3, 4, 5), (1, 3, 4), (3, 1, 4)])
+# shapes whose default pivot is A, B, A, B and C: each party, and past a trivial one
+PIVOT_SHAPES = [(3, 4, 5), (1, 3, 4), (3, 1, 4), (4, 3, 5), (5, 4, 3)]
+
+
+@pytest.mark.parametrize("dims", PIVOT_SHAPES)
 def test_analyze_slices_are_the_partial_inner_products(dims):
-    # reference: one partial_inner_product per pivot basis vector; a trivial pivot is refused
+    # reference: one partial_inner_product per pivot basis vector
     state = haar_state(dims, seed=96)
-    for pivot in range(3):
-        if dims[pivot] == 1:
-            with pytest.raises(DimensionMismatch, match=f"pivot {'ABC'[pivot]} has dimension 1"):
-                analyze(state, pivot=pivot)
-            continue
-        analysis = analyze(state, pivot=pivot)
-        basis = analysis.pivot_basis
-        expected = np.array([partial_inner_product(state, pivot, basis[:, i])
-                             for i in range(basis.shape[1])])
-        assert analysis.slices.shape == expected.shape
-        assert np.max(np.abs(analysis.slices - expected)) <= 1e-14
+    analysis = analyze(state)
+    pivot = analysis.pivot_party
+    basis = analysis.pivot_basis
+    expected = np.array([partial_inner_product(state, pivot, basis[:, i])
+                         for i in range(basis.shape[1])])
+    assert analysis.slices.shape == expected.shape
+    assert np.max(np.abs(analysis.slices - expected)) <= 1e-14
 
 
 def test_analyze_rejects_a_pivot_basis_that_is_not_unit_norm(monkeypatch):
@@ -583,27 +576,24 @@ def test_mixing_coefficients_are_drawn_once_per_slice_count():
         assert not mix.flags.writeable
 
 
-@pytest.mark.parametrize("state", [
-    ghz_state((3, 3, 3)),  # exact ties among the kept eigenvalues
-    w_state((3, 3, 3)),
-    product_state((3, 4, 5)),  # exact zero ties beyond the rank cutoff
-    haar_state((3, 4, 5), seed=103),
-    haar_state((1, 3, 4), seed=104),
-], ids=["ghz-3x3x3", "w-3x3x3", "product-3x4x5", "haar-3x4x5", "haar-1x3x4"])
+EIGENBASIS_CASES = {
+    "ghz-3x3x3": ghz_state((3, 3, 3)),  # exact ties among the kept eigenvalues
+    "w-3x3x3": w_state((3, 3, 3)),
+    # exact zero ties beyond the rank cutoff
+    **{f"product-{'x'.join(map(str, dims))}": product_state(dims) for dims in PIVOT_SHAPES},
+    **{f"haar-{'x'.join(map(str, dims))}": haar_state(dims, seed=103) for dims in PIVOT_SHAPES},
+}
+
+
+@pytest.mark.parametrize("state", EIGENBASIS_CASES.values(), ids=EIGENBASIS_CASES)
 def test_analyze_eigenbasis_is_the_checked_eigendecomposition_bit_for_bit(state):
-    # analyze skips the Hermitian checks and canonicalizes only the kept columns;
-    # it refuses a trivial pivot
-    for pivot in range(3):
-        if state.dims[pivot] == 1:
-            with pytest.raises(DimensionMismatch, match=f"pivot {'ABC'[pivot]} has dimension 1"):
-                analyze(state, pivot=pivot)
-            continue
-        analysis = analyze(state, pivot=pivot)
-        w, v = linalg.hermitian_eigendecompose(reduced_density(state, (pivot,)))
-        r = analysis.pivot_basis.shape[1]
-        assert r == linalg.numerical_rank(np.maximum(w, 0.0))
-        assert np.array_equal(analysis.pivot_basis, v[:, :r])
-        assert np.array_equal(analysis.pivot_spectrum, w)
+    # analyze skips the Hermitian checks and canonicalizes only the kept columns
+    analysis = analyze(state)
+    w, v = linalg.hermitian_eigendecompose(reduced_density(state, (analysis.pivot_party,)))
+    r = analysis.pivot_basis.shape[1]
+    assert r == linalg.numerical_rank(np.maximum(w, 0.0))
+    assert np.array_equal(analysis.pivot_basis, v[:, :r])
+    assert np.array_equal(analysis.pivot_spectrum, w)
 
 
 def test_low_rank_pivot_excludes_zero_slices():
@@ -758,77 +748,45 @@ def test_trivial_party_reduces_to_bipartite_schmidt():
 
 
 def test_entangled_state_with_trivial_party_is_fine_everywhere():
+    # a trivial party never pivots beside a larger one: its one slice is the whole state
     bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    state = PureState((2, 2, 1), bell)
-    verdict = check(state)
-    assert verdict.decomposable
-    assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-12
+    cases = [(PureState(dims, bell), [0.5, 0.5]) for dims in ((1, 2, 2), (2, 1, 2), (2, 2, 1))]
+    cases.append((PureState((1, 1, 1), np.array([1.0])), [1.0]))  # nothing larger: A pivots
+    for state, weights in cases:
+        verdict = check(state)
+        assert verdict.decomposable, state.dims
+        assert state.dims[verdict.analysis.pivot_party] > 1 or max(state.dims) == 1
+        assert np.max(np.abs(verdict.decomposition.weights - weights)) < 1e-12
 
 
-@pytest.mark.parametrize("trivial", [0, 1, 2])
-def test_check_refuses_an_explicit_trivial_pivot(trivial):
-    # a dimension-1 pivot has one slice, the whole state: it would demand global rank one
-    dims = tuple(1 if p == trivial else 2 for p in range(3))
-    state = PureState(dims, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
-    with pytest.raises(DimensionMismatch, match=f"pivot {'ABC'[trivial]} has dimension 1"):
-        check(state, pivot=trivial)
-    for pivot in (None, *(p for p in range(3) if p != trivial)):
-        verdict = check(state, pivot=pivot)
-        assert verdict.decomposable
-        assert np.max(np.abs(verdict.decomposition.weights - 0.5)) < 1e-12
-    # with every party trivial there is nothing larger, and pivot 0 is the default
-    assert check(PureState((1, 1, 1), np.array([1.0])), pivot=0).decomposable
+@pytest.mark.parametrize("shape, pivot", [
+    ("3x4x5", "A"), ("4x3x5", "B"), ("5x4x3", "C"),
+    ("4x3x3", "B"), ("3x4x3", "A"),  # ties go to the earlier party
+    ("1x3x4", "B"), ("3x1x4", "A"), ("1x1x5", "C"), ("1x1x1", "A"), ("2x2x1", "A"),
+])
+def test_the_pivot_is_the_smallest_party_of_dimension_two_or_more(shape, pivot):
+    dims = tuple(map(int, shape.split("x")))
+    assert "ABC"[check(haar_state(dims, seed=3500)).analysis.pivot_party] == pivot
 
 
-def _verdict_on(state, pivot):
-    """``check``'s verdict on ``pivot``, or the undecided one its ``Indeterminate`` carries."""
+def _verdict_on(state):
+    """``check``'s verdict, or the undecided one its ``Indeterminate`` carries."""
     try:
-        return check(state, pivot=pivot)
+        return check(state)
     except Indeterminate as exc:
         return exc.verdict
 
 
-PIVOT_CASES = {
-    "schmidt-3": (schmidt_state((3, 3, 3), [0.5, 0.3, 0.2], seed=61), True),
-    "haar-2": (haar_state((2, 2, 2), seed=62), False),
-    "w-3": (w_state((3, 3, 3)), False),
-    "antisym": (ANTISYM, None),
-    "untied-entangled": (UNTIED_ENTANGLED, False),
-    "unequal-spectra": (UNEQUAL_SPECTRA, False),
-    "ghz-3-rot": (haar_rotated(ghz_state((3, 3, 3)), 0), True),
-    "tied-6x7x8": (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
-    # pivot A has dimension 1 beside larger parties, so check refuses it
-    "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), True),
-}
-
-
-@pytest.mark.parametrize("state, decomposable", PIVOT_CASES.values(), ids=PIVOT_CASES)
-def test_every_accepted_pivot_gives_the_default_verdict(state, decomposable):
-    # whether a decomposition exists does not depend on the party that supplies the basis
-    default = _verdict_on(state, None)
-    assert default.decomposable is decomposable
-    for pivot in range(3):
-        if state.dims[pivot] == 1:
-            with pytest.raises(DimensionMismatch, match="has dimension 1"):
-                check(state, pivot=pivot)
-            continue
-        verdict = _verdict_on(state, pivot)
-        assert verdict.analysis.pivot_party == pivot
-        assert verdict.decomposable is decomposable
-        if decomposable:
-            assert np.max(np.abs(verdict.decomposition.weights
-                                 - default.decomposition.weights)) < 1e-8
-
-
 def test_every_pivot_of_an_unrefined_rotated_ghz_is_indeterminate(monkeypatch):
-    # a rotated GHZ 3^3 with refinement switched off: no pivot's slices are rank one
+    # a rotated GHZ 3^3 with refinement switched off: under each party order another
+    # party supplies the basis, and no pivot's slices are rank one
     state = haar_rotated(ghz_state((3, 3, 3)), seed=0)
     monkeypatch.setattr(tripartite, "refine_degenerate", lambda analysis: None)
-    for pivot in range(3):
+    for perm in itertools.permutations(range(3)):
         with pytest.raises(Indeterminate) as info:
-            check(state, pivot=pivot)
-        assert info.value.verdict.decomposable is None
-        assert info.value.verdict.analysis.slice_ranks == (3, 3, 3)
+            check(permute_parties(state, perm))
+        assert info.value.verdict.decomposable is None, perm
+        assert info.value.verdict.analysis.slice_ranks == (3, 3, 3), perm
 
 
 def test_forced_degenerate_generator_states_accepted():
@@ -863,20 +821,30 @@ def test_one_simultaneous_diagonalization_refines_many_tied_blocks(d, lapack_cal
 
 
 def test_verdict_invariant_under_party_permutations():
+    # on a cube each party order puts another party at the pivot; None is Indeterminate
     cases = (
         (schmidt_state((3, 4, 5), [0.5, 0.3, 0.2], seed=91), True),
+        (schmidt_state((3, 3, 3), [0.5, 0.3, 0.2], seed=61), True),
         # tied weights in Haar bases: the degenerate blocks need refinement
         (schmidt_state((6, 7, 8), [0.25, 0.25, 0.2, 0.1, 0.1, 0.1], seed=92), True),
         (haar_rotated(ghz_state((3, 3, 3)), 59), True),
+        (haar_rotated(ghz_state((3, 3, 3)), 0), True),
+        (haar_state((1, 3, 4), seed=3400), True),
         (W, False),
+        (w_state((3, 3, 3)), False),
         (PARALLEL, False),
         (haar_state((2, 3, 4), seed=93), False),
+        (haar_state((2, 2, 2), seed=62), False),
+        # the degenerate fallback's two rejections, and eps_ijk, which stays undecided
+        (UNTIED_ENTANGLED, False),
+        (UNEQUAL_SPECTRA, False),
+        (ANTISYM, None),
     )
     for state, expect in cases:
-        base = check(state)
+        base = _verdict_on(state)
         assert base.decomposable is expect
         for perm in itertools.permutations(range(3)):
-            verdict = check(permute_parties(state, perm))
+            verdict = _verdict_on(permute_parties(state, perm))
             assert verdict.decomposable is expect, perm
             if expect:
                 diff = verdict.decomposition.weights - base.decomposition.weights

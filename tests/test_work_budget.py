@@ -17,9 +17,7 @@ import numpy as np
 import pytest
 
 from trischmidt import (
-    DimensionMismatch,
     Indeterminate,
-    analyze,
     cli,
     check,
     entanglement_entropy,
@@ -126,7 +124,7 @@ CLI_ROWS = {
     "tied-6x7x8": (ROWS["tied-6x7x8"][0], _verdict_calls("tied-6x7x8")),
     "antisym": (ANTISYM, _verdict_calls("antisym")),
     "unequal-spectra": (UNEQUAL_SPECTRA, _verdict_calls("unequal-spectra")),
-    # pivot A has dimension 1 beside larger parties: the default pivot is B, and check refuses A
+    # A has dimension 1 beside larger parties, so B pivots
     "haar-1x3x4": (haar_state((1, 3, 4), seed=3400), "eigh 3x3, values 1x4, values 2x1x4"),
     # one retained slice
     "haar-1x1x5": (haar_state((1, 1, 5), seed=3401), "eigh 5x5, values 1x1"),
@@ -143,13 +141,6 @@ def test_cli_makes_the_row_calls(state, verdict, command, tmp_path, lapack_calls
     cli.main([command, str(path)])
     capsys.readouterr()
     assert _calls(lapack_calls) == ", ".join(expected)
-
-
-@pytest.mark.parametrize("answer", [analyze, check], ids=["analyze", "check"])
-def test_a_trivial_pivot_is_refused_before_any_decomposition(answer, lapack_calls):
-    with pytest.raises(DimensionMismatch, match="pivot A has dimension 1"):
-        answer(CLI_ROWS["haar-1x3x4"][0], pivot=0)
-    assert lapack_calls == []
 
 
 RAW = {f"{module}.linalg.{routine}" for module in ("np", "numpy")

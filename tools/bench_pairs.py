@@ -39,7 +39,6 @@ before the runs and listed in the record.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
 import platform
@@ -48,6 +47,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from blas_core import blas_core
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -81,19 +82,6 @@ def _side_facts(side: Path) -> dict:
             "src_lines": lines, "bytecode": bytecode}
 
 
-def _blas_core() -> str:
-    """The OpenBLAS kernel numpy's bundled library picked for this CPU, or ``unknown``."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"  # where numpy's Linux wheels bundle it
-    for path in sorted(libs.glob("*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):  # not loadable, or no such symbol
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
 def _machine() -> dict:
     """Cores, BLAS and its kernel, BLAS threads of the runs, and numpy and Python versions."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -106,7 +94,7 @@ def _machine() -> dict:
                       for line in Path("/proc/cpuinfo").read_text().splitlines()
                       if line.startswith("model name")), None)
     return {"cores": os.cpu_count(), "cpu": model or platform.machine(),
-            "blas": f"{blas['name']} {blas['version']}", "blas_core": _blas_core(),
+            "blas": f"{blas['name']} {blas['version']}", "blas_core": blas_core(),
             "blas_threads": int(BLAS_THREADS),
             "numpy": np.__version__, "python": platform.python_version()}
 

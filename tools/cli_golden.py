@@ -30,8 +30,9 @@ exit code, the SHA-256 of stdout and of stderr, and stdout itself.
 program can be compared on the same files.
 
 ``--hashes`` prints one line per run instead: the exit code, the SHA-256 of
-stdout and of stderr, and the command.  ``tests/golden/cli.sha256`` holds
-these lines, and a tier-1 test compares them with a fresh run.
+stdout and of stderr, and the command, after a first line ``# blas_core NAME``
+that names the OpenBLAS kernel the hashes hold on.  ``tests/golden/cli.sha256``
+holds these lines, and a tier-1 test compares them with a fresh run.
 
 ``--compare A B`` prints every run whose exit code, stdout or stderr
 differs; for a JSON stdout it names the top-level keys whose numbers or
@@ -57,8 +58,10 @@ from pathlib import Path
 
 import numpy as np
 
+from blas_core import header
+
 ROOT = Path(__file__).resolve().parent.parent
-THREE_PARTY_COMMANDS = (("check",), ("spectra",))
+THREE_PARTY_COMMANDS = ("check", "spectra")
 GEN_RUNS = (
     ("gen", "ghz", "--dims", "3,3,3"),
     ("gen", "w", "--dims", "2,2,2"),
@@ -228,7 +231,7 @@ def golden(src: Path) -> list[dict]:
     with tempfile.TemporaryDirectory(prefix="cli-golden-") as tmp:
         directory = Path(tmp)
         three, two = write_inputs(directory)
-        runs = [(*cmd, name) for name in three for cmd in THREE_PARTY_COMMANDS]
+        runs = [(cmd, name) for name in three for cmd in THREE_PARTY_COMMANDS]
         runs += [("decompose-bipartite", name) for name in two]
         runs += GEN_RUNS
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tools")]),
@@ -318,7 +321,7 @@ def main(argv=None) -> int:
     if not (args.src / "trischmidt" / "__init__.py").is_file():
         parser.error(f"no trischmidt sources in {args.src}")
     records = golden(args.src.resolve())
-    lines = map(hash_line, records) if args.hashes else map(json.dumps, records)
+    lines = [header(), *map(hash_line, records)] if args.hashes else map(json.dumps, records)
     text = "".join(line + "\n" for line in lines)
     if args.out is None:
         sys.stdout.write(text)

@@ -7,20 +7,20 @@
 
 The first form runs ``tripartite.check`` on every input of ``decide-generic``
 and ``decide-degenerate`` (built by ``bench/cases.py``, which is only
-imported) for each seed and each pivot (default, 0, 1, 2), and writes one
-JSON record per check: the verdict, the ``degenerate`` flag, the exception
-type, ``slice_ranks``, ``repr(max_residual)``, the weights, an accepted
-check's ``weight_error`` (the largest deviation of its weights from the
-input's constructed ``Case.weights``), and SHA-256
-digests of the bytes of the verdict's analysis' ``pivot_basis`` and
-``slice_values`` and of an accepted decomposition's ``basis_a``,
-``basis_b`` and ``basis_c`` together, so that a change can show that it
-keeps the eigenbasis and the factor bases bit for bit.  Seeds 1-8 give
-5248 records.  ``--src`` picks the trischmidt sources to digest, so two
+imported) for each seed, and writes one JSON record per check: the
+verdict, the ``degenerate`` flag, the exception type, ``slice_ranks``,
+``repr(max_residual)``, the weights, an accepted check's ``weight_error``
+(the largest deviation of its weights from the input's constructed
+``Case.weights``), and SHA-256 digests of the bytes of the verdict's
+analysis' ``pivot_basis`` and ``slice_values`` and of an accepted
+decomposition's ``basis_a``, ``basis_b`` and ``basis_c`` together, so that
+a change can show that it keeps the eigenbasis and the factor bases bit
+for bit.  Seeds 1-8 give 1312 records.  ``--src`` picks the trischmidt sources to digest, so two
 versions of the program can be compared on the same inputs.  One BLAS
 thread is pinned, as in the benchmark, because the last bits depend on it.
 ``--hashes`` writes one line per record instead: its workload, seed,
-input, label and pivot, and the SHA-256 of its JSON line.
+input and label, and the SHA-256 of its JSON line, after a first line
+``# blas_core NAME`` that names the OpenBLAS kernel the hashes hold on.
 ``tests/golden/verdicts.sha256`` holds these lines for seed 1, and a tier-1
 test compares them with a fresh digest.
 An ``Indeterminate`` is read through the verdict it carries; versions before
@@ -48,11 +48,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from blas_core import header
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("decide-generic", "decide-degenerate")
-PIVOTS = (None, 0, 1, 2)
 VERDICT = ("label", "decomposable", "degenerate", "error", "slice_ranks")
 DIGESTS = ("basis_sha256", "values_sha256", "bases_sha256")
+# a record's answer, in the order ``_record`` writes it
+FIELDS = ("decomposable", "degenerate", "error", "slice_ranks", "max_residual", "weights",
+          "weight_error", "bases_sha256", "basis_sha256", "values_sha256")
 
 
 def _hashes(analysis) -> dict:
@@ -79,16 +83,14 @@ def _weight_error(accepted, case):
     return float(abs(accepted.weights - case.weights).max())
 
 
-def _record(tripartite, errors, case, state, pivot) -> dict:
+def _record(tripartite, errors, case, state) -> dict:
     error = None
     try:
-        verdict = tripartite.check(state, pivot=pivot)
+        verdict = tripartite.check(state)
     except errors.Indeterminate as exc:
         verdict, error = exc.verdict, "Indeterminate"
     except errors.TrischmidtError as exc:
-        return dict(decomposable=None, degenerate=None, error=type(exc).__name__,
-                    slice_ranks=None, max_residual=None, weights=None, weight_error=None,
-                    bases_sha256=None, basis_sha256=None, values_sha256=None)
+        return dict(dict.fromkeys(FIELDS), error=type(exc).__name__)
     accepted = verdict.decomposition if verdict.decomposable else None
     return dict(decomposable=verdict.decomposable, degenerate=verdict.degenerate, error=error,
                 slice_ranks=list(verdict.analysis.slice_ranks),
@@ -102,7 +104,7 @@ def _record(tripartite, errors, case, state, pivot) -> dict:
 def hash_line(line: str) -> str:
     """The ``--hashes`` line of one record's JSON line."""
     r = json.loads(line)
-    key = " ".join(str(r[f]) for f in ("workload", "seed", "input", "label", "pivot"))
+    key = " ".join(str(r[f]) for f in ("workload", "seed", "input", "label"))
     return f"{key} {hashlib.sha256(line.encode()).hexdigest()}"
 
 
@@ -110,6 +112,8 @@ def digest(src: Path, seeds, out, hashes=False) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path[:0] = [str(src), str(ROOT / "bench")]
+    if hashes:  # after the pin: loading OpenBLAS fixes its thread count
+        out.write(header() + "\n")
     import cases
     from trischmidt import PureState, exceptions as errors, tripartite
 
@@ -118,19 +122,18 @@ def digest(src: Path, seeds, out, hashes=False) -> int:
         for seed in seeds:
             for index, case in enumerate(cases.BUILDERS[workload](seed)):
                 state = PureState(case.dims, case.tensor)
-                for pivot in PIVOTS:
-                    record = dict(workload=workload, seed=seed, input=index, label=case.label,
-                                  pivot=pivot, **_record(tripartite, errors, case, state, pivot))
-                    line = json.dumps(record)
-                    out.write((hash_line(line) if hashes else line) + "\n")
-                    count += 1
+                record = dict(workload=workload, seed=seed, input=index, label=case.label,
+                              **_record(tripartite, errors, case, state))
+                line = json.dumps(record)
+                out.write((hash_line(line) if hashes else line) + "\n")
+                count += 1
     return count
 
 
 def _load(path) -> dict:
     with open(path) as f:
         records = [json.loads(line) for line in f]
-    return {(r["workload"], r["seed"], r["input"], r["pivot"]): r for r in records}
+    return {(r["workload"], r["seed"], r["input"]): r for r in records}
 
 
 def _verdict_differs(ra: dict, rb: dict) -> bool:
@@ -185,7 +188,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 9)))
     parser.add_argument("--out", help="digest file (default: stdout)")
     parser.add_argument("--hashes", action="store_true",
-                        help="write one line per record: workload, seed, input, label, pivot, SHA-256")
+                        help="write one line per record: workload, seed, input, label, SHA-256")
     args = parser.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
