@@ -5,9 +5,10 @@ with amplitudes row-major, first index slowest.  Reports are JSON on
 stdout; errors go to stderr.  All numbers are serialized with 17
 significant digits so a report round-trips doubles losslessly.
 
-``python -m trischmidt`` and the ``trischmidt`` script run one BLAS thread
-whatever the environment says (``__main__.main`` pins it before numpy loads);
-``main`` called in-process uses the caller's, whose count can move last digits.
+``python -m trischmidt`` and the ``trischmidt`` script (``__main__.main``)
+run one BLAS thread whatever the environment says, with the cyclic collector
+off and the heap frozen at exit.  ``main`` called in-process keeps the
+caller's threads, whose count can move last digits, and its collector.
 
 Commands, each with the options it reads::
 

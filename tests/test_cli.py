@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -571,6 +572,42 @@ def test_subprocess_entry_point(tmp_path):
         input=w_run.stdout, capture_output=True, text=True,
     )
     assert reject.returncode == 1
+
+
+# counts the collections the entry point starts, then reports them on stderr
+_COLLECTOR_CHILD = """
+import gc, json, sys
+from trischmidt import __main__ as entry
+
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info))
+sys.argv = ["trischmidt", "check", sys.argv[1]]
+code = entry.main()
+sys.stdout.flush()
+print(json.dumps({"exit": code, "collections": len(starts), "enabled": gc.isenabled(),
+                  "frozen": gc.get_freeze_count() > 0}), file=sys.stderr)
+"""
+
+
+def test_entry_point_runs_without_the_cyclic_collector(tmp_path, capsys):
+    """A ``trischmidt`` process starts no collection and freezes its heap before exit, yet
+    prints the bytes of an in-process run.  The load of the 12^3 file builds 1728 pair
+    lists, so with the collector on its young generation (threshold 700) would run."""
+    path = write_state(tmp_path, "haar.json", haar_state((12, 12, 12), seed=5))
+    child = subprocess.run([sys.executable, "-c", _COLLECTOR_CHILD, path],
+                           capture_output=True, timeout=120)
+    code, out, _ = run_cli(["check", path], capsys)
+    assert json.loads(child.stderr.decode().splitlines()[-1]) == {
+        "exit": code, "collections": 0, "enabled": False, "frozen": True}
+    assert child.stdout == out.encode()
+
+
+def test_in_process_main_leaves_the_callers_collector_alone(tmp_path, capsys):
+    path = write_state(tmp_path, "haar.json", haar_state((12, 12, 12), seed=5))
+    before = gc.isenabled(), gc.get_freeze_count()
+    code, _, _ = run_cli(["check", path], capsys)
+    assert code == EXIT_NOT_DECOMPOSABLE
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
 
 
 # the state-file front door, fuzzed: extreme finite numbers, JSON values of every other

@@ -176,6 +176,8 @@ def test_bench_pairs_smoke_appends_a_record(tmp_path):
     assert all(r["correct"] for side in record["runs"].values() for r in side)
     assert record["sides"]["parent"]["src_lines"] == record["sides"]["change"]["src_lines"] > 0
     assert all(path.startswith("src/") for path in record["sides"]["parent"]["bytecode"])
-    assert set(record["machine"]) == {"cores", "cpu", "blas", "blas_core", "blas_threads", "numpy",
-                                      "python"}
+    assert set(record["machine"]) == {"cores", "cpu", "blas", "blas_core", "blas_threads",
+                                      "dont_write_bytecode", "numpy", "python"}
+    # with no bytecode on either side, this says whether each start compiles src/
+    assert record["machine"]["dont_write_bytecode"] is bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     assert record["machine"]["blas_core"]

@@ -876,7 +876,7 @@ def test_antisymmetric_state_rejected():
     verdict = check(ANTISYM)
     assert not verdict.decomposable
 
-    """The tied 4^3 state (weights 0.3, 0.3, 0.2, 0.2) plus eps of a Haar vector, renormalized."""
+
 def _noisy_tie(eps: float) -> PureState:
     """The tied 4^3 state (weights 0.3, 0.3, 0.2, 0.2) plus ``eps`` of a Haar vector, renormalized."""
     amplitudes = (schmidt_state((4, 4, 4), [0.3, 0.3, 0.2, 0.2], 7).amplitudes

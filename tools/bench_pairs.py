@@ -26,14 +26,17 @@ missing) before the summary is printed: the settings, every run's metrics and
 outcome counts, the summary, the commit, ``src/`` line count and bytecode
 folders of each side, and the machine's cores, BLAS library, its OpenBLAS
 kernel (``unknown`` where numpy bundles no OpenBLAS that names it) and thread
-count, and numpy and Python versions.
+count, whether ``PYTHONDONTWRITEBYTECODE`` is set for the runs, and numpy and
+Python versions.
 It exits with 1 when a run fails or reports wrong output.
 
 A side whose ``src/`` holds compiled ``__pycache__`` files imports without
 compiling, about twice as fast as a side that compiles ``src/`` at each start
 (``PYTHONDONTWRITEBYTECODE`` set, no cache), so set-up and import times no
 longer compare.  Such folders are warned of on stderr
-before the runs and listed in the record.
+before the runs and listed in the record; with the variable set and no folder,
+both sides compile ``src/`` at each start (12-17 ms of a ``cli-check``
+operation on one machine).
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ def _side_facts(side: Path) -> dict:
 
 
 def _machine() -> dict:
-    """Cores, BLAS and its kernel, BLAS threads of the runs, and numpy and Python versions."""
+    """Cores, BLAS and its kernel, BLAS threads of the runs, whether the runs may write
+    bytecode, and numpy and Python versions."""
     sys.path.insert(0, str(ROOT / "bench"))
     from run import BLAS_THREADS
 
@@ -96,6 +100,7 @@ def _machine() -> dict:
     return {"cores": os.cpu_count(), "cpu": model or platform.machine(),
             "blas": f"{blas['name']} {blas['version']}", "blas_core": blas_core(),
             "blas_threads": int(BLAS_THREADS),
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
             "numpy": np.__version__, "python": platform.python_version()}
 
 
