@@ -602,10 +602,9 @@ def test_entry_point_runs_without_the_cyclic_collector(tmp_path, capsys):
     assert child.stdout == out.encode()
 
 
-def test_in_process_main_leaves_the_callers_collector_alone(tmp_path, capsys):
-    path = write_state(tmp_path, "haar.json", haar_state((12, 12, 12), seed=5))
+def test_in_process_main_leaves_the_callers_collector_alone(state_files, capsys):
     before = gc.isenabled(), gc.get_freeze_count()
-    code, _, _ = run_cli(["check", path], capsys)
+    code, _, _ = run_cli(["check", state_files["w"]], capsys)
     assert code == EXIT_NOT_DECOMPOSABLE
     assert (gc.isenabled(), gc.get_freeze_count()) == before
 
